@@ -41,7 +41,7 @@ from hiermf.hierarchy import (
     serialize_dendrogram,
 )
 from hiermf.market_data import CsvSchema, ReturnsPanel, WindowSpec, load_prices_csv, returns_panel, rolling_windows
-from hiermf.scaling import calibrate_threshold, delta_h, estimate_ghe
+from hiermf.scaling import MIN_SERIES_LENGTH, calibrate_threshold, delta_h, estimate_ghe
 from hiermf.util import derived_rng, format_float, parallel_map, write_csv, write_json_atomic
 
 
@@ -143,10 +143,8 @@ def _load_panel(args, config: dict) -> tuple[ReturnsPanel, dict]:
 
 def _ghe_table(panel: ReturnsPanel) -> dict[str, dict]:
     """Per-asset GHE columns keyed by asset label."""
-    log_prices = panel.log_price_paths()
     table = {}
-    for j, asset in enumerate(panel.assets):
-        est = estimate_ghe(log_prices[:, j])
+    for asset, est in zip(panel.assets, estimate_ghe(panel.log_price_paths())):
         table[asset] = {
             "H1": est.h(1.0),
             "H2": est.h(2.0),
@@ -179,7 +177,10 @@ def cmd_analyze(args) -> int:
     scheme = exp_weights(panel.n_times, theta)
     corr = weighted_pearson_matrix(panel, scheme)
     if tree_file:
-        tree = parse_dendrogram(tree_file)
+        try:
+            tree = parse_dendrogram(tree_file)
+        except OSError as exc:
+            raise UsageError(f"cannot read tree {tree_file}: {exc.strerror}") from exc
         if set(tree.leaves) != set(panel.assets):
             raise UsageError("imported tree leaves do not match panel assets")
     else:
@@ -334,6 +335,12 @@ def cmd_rolling(args) -> int:
         "window-length": length, "window-count": count,
         "theta": theta, "method": method,
     })
+    # a window of `length` returns gives length + 1 log-prices to estimate_ghe
+    if length + 1 < MIN_SERIES_LENGTH:
+        raise UsageError(
+            f"--window-length {length} is too short for the Hurst fit; "
+            f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
+        )
 
     panel, ingestion = _load_panel(args, config)
     try:
@@ -351,7 +358,7 @@ def cmd_rolling(args) -> int:
         tree = linkage_cluster(corr_to_distance(corr), window.assets, method)
         orders = order_profile(tree)
         cut = cluster_cut(tree)
-        dhs = [delta_h(estimate_ghe(col)) for col in window.log_price_paths().T]
+        dhs = [delta_h(est) for est in estimate_ghe(window.log_price_paths())]
         (quantiles,) = quantile_summary({"rho": off}, levels=(0.025, 0.25, 0.75, 0.975))
         rows.append([
             w_index, window.times[0], window.times[-1],
@@ -532,6 +539,10 @@ def cmd_calibrate(args) -> int:
         "count": count, "hurst-min": hurst_min, "hurst-max": hurst_max,
         "length": length, "seed": seed,
     })
+    if length < MIN_SERIES_LENGTH:
+        raise UsageError(
+            f"--length {length} is too short for the Hurst fit; need at least {MIN_SERIES_LENGTH}"
+        )
     if count < 100:
         manifest.warn("low realization count")
     try:

@@ -24,6 +24,7 @@ __all__ = [
     "ThresholdCalibration",
     "DEFAULT_Q",
     "DEFAULT_LMAX_RANGE",
+    "MIN_SERIES_LENGTH",
     "q_moment",
     "estimate_ghe",
     "ghe_from_moments",
@@ -35,6 +36,8 @@ __all__ = [
 
 DEFAULT_Q = (1.0, 2.0)
 DEFAULT_LMAX_RANGE = (5, 19)
+# shortest log-price series estimate_ghe accepts at the default scales
+MIN_SERIES_LENGTH = 10 * DEFAULT_LMAX_RANGE[1]
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,34 @@ def delta_h(est: GheEstimate) -> float:
     return est.h(1.0) - est.h(2.0)
 
 
+def _moment_table(series: np.ndarray, q_values, scales) -> np.ndarray:
+    """M[j, i, k] = mean |x_j[t + l] - x_j[t]|^q_i at l = scales[k], rows x_j of `series`.
+
+    `series` is (assets, time) and contiguous along time, so numpy reduces
+    each row with the same pairwise summation as a lone 1-D series: row j of
+    the table equals the table of x_j alone bit for bit. Two (assets, time)
+    buffers are reused across scales instead of fresh temporaries; the
+    second is never written when only the last q differs from 1, as with
+    the default (1, 2), so it costs no resident memory then.
+    """
+    n_assets, n_times = series.shape
+    sums = np.empty((n_assets, len(q_values), len(scales)))
+    inc = np.empty((n_assets, n_times - 1))
+    powered = np.empty_like(inc)
+    for k, scale in enumerate(scales):
+        width = n_times - scale
+        d = inc[:, :width]
+        np.subtract(series[:, scale:], series[:, :width], out=d)
+        np.abs(d, out=d)
+        for i, q in enumerate(q_values):
+            # the last power may overwrite the increments; earlier ones may not
+            out = d if i == len(q_values) - 1 else powered[:, :width]
+            term = d if q == 1.0 else np.power(d, q, out=out)
+            np.add.reduce(term, axis=1, out=sums[:, i, k])
+    # np.mean is this sum divided by the count
+    return sums / (n_times - np.asarray(scales, dtype=float))
+
+
 def q_moment(log_prices, q: float, scale: int) -> float:
     """Mean absolute q-th moment of increments at the given scale.
 
@@ -76,73 +107,87 @@ def q_moment(log_prices, q: float, scale: int) -> float:
         raise ValueError("q must be positive")
     if not 1 <= scale <= x.shape[0] - 1:
         raise ValueError(f"scale {scale} out of range for series of length {x.shape[0]}")
-    inc = np.abs(x[scale:] - x[:-scale])
-    return float(np.mean(inc**q))
+    return float(_moment_table(x[None, :], (q,), (scale,))[0, 0, 0])
 
 
 def ghe_from_moments(
     moments: np.ndarray,
     q_values: tuple[float, ...],
     lmax_range: tuple[int, int] = DEFAULT_LMAX_RANGE,
-) -> GheEstimate:
+) -> GheEstimate | list[GheEstimate]:
     """Fit H(q) from a precomputed moment table M[q_index, scale-1].
 
     For each upper scale lmax in the range, the slope of log M against log l
     over l = 1..lmax estimates q*H(q); H(q) is the mean of slope/q over the
     sweep and its standard error is the standard deviation across fits.
+
+    A stack of tables M[column, q_index, scale-1] is fitted in one pass and
+    gives a list with one estimate per column.
     """
     lo, hi = lmax_range
     if not 2 <= lo <= hi:
         raise ValueError(f"invalid lmax range {lmax_range}")
     moments = np.asarray(moments, dtype=float)
-    if moments.shape[1] < hi:
-        raise ValueError(f"need moments up to scale {hi}, got {moments.shape[1]}")
-    zero = np.argwhere(moments[:, :hi] == 0.0)
+    if moments.shape[-1] < hi:
+        raise ValueError(f"need moments up to scale {hi}, got {moments.shape[-1]}")
+    if moments.ndim == 2:
+        return ghe_from_moments(moments[None], q_values, lmax_range)[0]
+    zero = np.argwhere(moments[..., :hi] == 0.0)
     if zero.size:
-        qi, li = zero[0]
-        raise ValueError(f"degenerate q-moment M(q={q_values[qi]}, l={li + 1}) = 0")
+        col, qi, li = zero[0]
+        raise ValueError(
+            f"degenerate q-moment M(q={q_values[qi]}, l={li + 1}) = 0 in column {col}"
+        )
 
+    # column k of `weights` holds the least-squares slope weights over l = 1..lmax
     log_l = np.log(np.arange(1, hi + 1, dtype=float))
-    log_m = np.log(moments[:, :hi])
-    n_fits = hi - lo + 1
-    slopes = np.empty((len(q_values), n_fits))
+    weights = np.zeros((hi, hi - lo + 1))
     for k, lmax in enumerate(range(lo, hi + 1)):
-        x = log_l[:lmax]
-        xc = x - x.mean()
-        denom = float(xc @ xc)
-        for i in range(len(q_values)):
-            y = log_m[i, :lmax]
-            slopes[i, k] = float(xc @ (y - y.mean())) / denom
+        xc = log_l[:lmax] - log_l[:lmax].mean()
+        weights[:lmax, k] = xc / (xc @ xc)
+    log_m = np.log(moments[..., :hi])
+    # the weights sum to zero only up to rounding; measuring log M from its
+    # l = 1 value keeps that residue from scaling with the size of log M
+    slopes = (log_m - log_m[..., :1]) @ weights
 
     h_per_fit = slopes / np.asarray(q_values, dtype=float)[:, None]
-    h_values = tuple(float(v) for v in h_per_fit.mean(axis=1))
-    std_errors = tuple(float(v) for v in h_per_fit.std(axis=1, ddof=1))
+    h_values = h_per_fit.mean(axis=-1).tolist()
+    std_errors = h_per_fit.std(axis=-1, ddof=1).tolist()
     slopes.flags.writeable = False
-    return GheEstimate(
-        q_values=tuple(float(q) for q in q_values),
-        h_values=h_values,
-        slopes=slopes,
-        lmax_range=(lo, hi),
-        std_errors=std_errors,
-    )
+    q_values = tuple(float(q) for q in q_values)
+    return [
+        GheEstimate(
+            q_values=q_values,
+            h_values=tuple(h_values[j]),
+            slopes=slopes[j],
+            lmax_range=(lo, hi),
+            std_errors=tuple(std_errors[j]),
+        )
+        for j in range(slopes.shape[0])
+    ]
 
 
 def estimate_ghe(
     log_prices: np.ndarray,
     q_values: tuple[float, ...] = DEFAULT_Q,
     lmax_range: tuple[int, int] = DEFAULT_LMAX_RANGE,
-) -> GheEstimate:
-    """Generalized Hurst exponents of a log-price sequence."""
+) -> GheEstimate | list[GheEstimate]:
+    """Generalized Hurst exponents of a log-price sequence.
+
+    A 1-D series gives one estimate. A 2-D (time, assets) array, laid out
+    like ReturnsPanel.log_price_paths(), gives a list with one estimate per
+    column, each equal to the estimate of that column alone.
+    """
     x = np.asarray(log_prices, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a series or a (time, assets) array, got shape {x.shape}")
     lo, hi = lmax_range
     if x.shape[0] < 10 * hi:
         raise ValueError(f"series length {x.shape[0]} < 10 * max scale {hi}")
-    moments = np.empty((len(q_values), hi))
-    for scale in range(1, hi + 1):
-        inc = np.abs(x[scale:] - x[:-scale])
-        for i, q in enumerate(q_values):
-            moments[i, scale - 1] = np.mean(inc**q)
-    return ghe_from_moments(moments, tuple(q_values), lmax_range)
+    series = x[None, :] if x.ndim == 1 else np.ascontiguousarray(x.T)
+    moments = _moment_table(series, q_values, range(1, hi + 1))
+    estimates = ghe_from_moments(moments, tuple(q_values), lmax_range)
+    return estimates[0] if x.ndim == 1 else estimates
 
 
 @dataclass(frozen=True)

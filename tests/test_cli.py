@@ -61,6 +61,12 @@ def test_calibrate_reproducible(tmp_path):
     assert (tmp_path / "a/threshold.json").read_bytes() == (tmp_path / "b/threshold.json").read_bytes()
 
 
+def test_calibrate_rejects_short_length_up_front(tmp_path, capsys):
+    rc = main(["calibrate", "--count", "10", "--length", "50", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "--length 50" in capsys.readouterr().err
+
+
 def test_calibrate_low_count_warns_in_manifest(tmp_path):
     out = tmp_path / "out"
     with pytest.warns(UserWarning):
@@ -193,6 +199,19 @@ def test_analyze_imported_tree_leaf_mismatch(tmp_path):
     assert rc == 1
 
 
+def test_analyze_missing_tree_file(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=4)
+    missing = tmp_path / "missing.json"
+    rc = main([
+        "analyze", "--data", str(data), "--tree", str(missing), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(missing) in err
+
+
 def test_analyze_reproducible(tmp_path):
     data = tmp_path / "prices.csv"
     write_price_csv(data)
@@ -318,6 +337,19 @@ def test_rolling_infeasible_windows(tmp_path):
         "--window-count", "50", "--out", str(tmp_path / "o"),
     ])
     assert rc == 1
+
+
+def test_rolling_rejects_short_window_before_any_window(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, length=300)
+    out = tmp_path / "o"
+    rc = main([
+        "rolling", "--data", str(data), "--window-length", "150",
+        "--window-count", "40", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "--window-length 150" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # --- validate-model ---

@@ -3,6 +3,7 @@ import pytest
 
 from hiermf.scaling import (
     FbmSpec,
+    _moment_table,
     calibrate_threshold,
     delta_h,
     estimate_ghe,
@@ -101,6 +102,8 @@ def test_white_noise_hurst_half():
 def test_series_too_short():
     with pytest.raises(ValueError, match="10"):
         estimate_ghe(np.arange(100, dtype=float))
+    with pytest.raises(ValueError, match=r"series length 189 < 10 \* max scale 19"):
+        estimate_ghe(np.zeros((189, 4)))
 
 
 def test_degenerate_scale_is_named():
@@ -123,6 +126,73 @@ def test_delta_h_requires_q1_and_q2():
     est = ghe_from_moments(np.vstack([scales, scales]), (1.0, 3.0))
     with pytest.raises(ValueError, match="q=2"):
         delta_h(est)
+
+
+# --- batched GHE against the per-column loop it replaced ---
+
+
+def reference_moments(x, q_values=(1.0, 2.0), hi=19):
+    """Moment table of one series, computed as before batching."""
+    moments = np.empty((len(q_values), hi))
+    for scale in range(1, hi + 1):
+        inc = np.abs(x[scale:] - x[:-scale])
+        for i, q in enumerate(q_values):
+            moments[i, scale - 1] = np.mean(inc**q)
+    return moments
+
+
+def reference_fit(moments, q_values=(1.0, 2.0), lmax_range=(5, 19)):
+    """(slopes, H, std_errors) of one moment table, fitted one lmax at a time."""
+    lo, hi = lmax_range
+    log_l = np.log(np.arange(1, hi + 1, dtype=float))
+    log_m = np.log(moments[:, :hi])
+    slopes = np.empty((len(q_values), hi - lo + 1))
+    for k, lmax in enumerate(range(lo, hi + 1)):
+        xc = log_l[:lmax] - log_l[:lmax].mean()
+        for i in range(len(q_values)):
+            y = log_m[i, :lmax]
+            slopes[i, k] = float(xc @ (y - y.mean())) / float(xc @ xc)
+    h_per_fit = slopes / np.asarray(q_values)[:, None]
+    return slopes, h_per_fit.mean(axis=1), h_per_fit.std(axis=1, ddof=1)
+
+
+def random_log_price_panel(n_times, n_assets, seed):
+    rng = np.random.default_rng(seed)
+    vol = np.exp(rng.standard_normal((n_times - 1, 1)))  # common volatility bursts
+    scale = 10.0 ** rng.uniform(-4, 0, size=n_assets)
+    returns = scale * vol * rng.standard_normal((n_times - 1, n_assets))
+    return np.vstack([np.zeros(n_assets), np.cumsum(returns, axis=0)])
+
+
+@pytest.mark.parametrize("n_times,n_assets,seed", [(753, 50, 0), (253, 400, 1), (4027, 50, 2)])
+def test_batched_ghe_matches_per_column_loop(n_times, n_assets, seed):
+    panel = random_log_price_panel(n_times, n_assets, seed)
+    moments = _moment_table(np.ascontiguousarray(panel.T), (1.0, 2.0), range(1, 20))
+    estimates = estimate_ghe(panel)
+    assert len(estimates) == n_assets
+    for j, est in enumerate(estimates):
+        ref = reference_moments(panel[:, j])
+        assert np.array_equal(moments[j], ref)
+        slopes, h, se = reference_fit(ref)
+        assert np.max(np.abs(est.slopes - slopes)) <= 1e-14
+        assert np.max(np.abs(np.asarray(est.h_values) - h)) <= 1e-14
+        assert np.max(np.abs(np.asarray(est.std_errors) - se)) <= 1e-14
+
+
+def test_batched_column_equals_single_series_call():
+    panel = random_log_price_panel(753, 50, 3)
+    for j, est in enumerate(estimate_ghe(panel)):
+        alone = estimate_ghe(panel[:, j])
+        assert np.array_equal(est.slopes, alone.slopes)
+        assert est.h_values == alone.h_values
+        assert est.std_errors == alone.std_errors
+
+
+def test_batched_zero_moment_names_column():
+    panel = random_log_price_panel(400, 5, 4)
+    panel[:, 3] = 1.5
+    with pytest.raises(ValueError, match=r"M\(q=1.0, l=1\) = 0 in column 3"):
+        estimate_ghe(panel)
 
 
 # --- fBm generation ---
