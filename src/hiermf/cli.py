@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,11 @@ import numpy as np
 from hiermf import __version__
 from hiermf import dhm as dhm_mod
 from hiermf.dependence import (
-    CorrelationMatrix,
     corr_to_distance,
     elliptical_tau,
     exp_weights,
     kendall_tau,
+    one_factor_correlation,
     weighted_pearson_matrix,
     write_correlation_csv,
 )
@@ -241,7 +242,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _simulate_one(run_index: int, spec_payload: dict, out_dir: str) -> str:
+def _simulate_one(item: tuple[int, dict], out_dir: str) -> str:
+    run_index, spec_payload = item
     spec = dhm_mod.load_dhm_config_dict(
         spec_payload["config"], Path(spec_payload["base_dir"]),
         seed_override=spec_payload["seed"],
@@ -308,7 +310,7 @@ def cmd_simulate(args) -> int:
         {"config": config, "base_dir": str(base_dir), "seed": int(base_seed) + r}
         for r in range(repeat)
     ]
-    worker = functools.partial(_simulate_one_payload, out_dir=str(out))
+    worker = functools.partial(_simulate_one, out_dir=str(out))
     run_dirs = parallel_map(worker, list(enumerate(payloads)), jobs=args.jobs)
     for d in run_dirs:
         for f in sorted(Path(d).iterdir()):
@@ -316,11 +318,6 @@ def cmd_simulate(args) -> int:
     manifest.stage("simulate")
     manifest.write()
     return 0
-
-
-def _simulate_one_payload(item, out_dir: str) -> str:
-    index, payload = item
-    return _simulate_one(index, payload, out_dir)
 
 
 def cmd_rolling(args) -> int:
@@ -383,14 +380,6 @@ def cmd_rolling(args) -> int:
     return 0
 
 
-def _one_factor_correlation(labels, rng: np.random.Generator) -> CorrelationMatrix:
-    """Random PSD correlation with off-diagonal entries in [0.2, 0.8]."""
-    loadings = rng.uniform(np.sqrt(0.2), np.sqrt(0.8), size=len(labels))
-    values = np.outer(loadings, loadings)
-    np.fill_diagonal(values, 1.0)
-    return CorrelationMatrix(assets=tuple(labels), values=values)
-
-
 def check_equivalence(
     n_trees: int, steps: int, seed: int, tolerance: float, max_leaves: int = 16,
     lam: float | None = None,
@@ -409,7 +398,7 @@ def check_equivalence(
         tree = dhm_mod.draw_probabilities(
             random_binary_tree(n_leaves, rng, labels), 0.0, 1.0, rng
         )
-        noise = _one_factor_correlation(labels, rng)
+        noise = one_factor_correlation(labels, rng)
         logvol = dhm_mod.LogVolSpec(lam=lam) if lam is not None else None
         spec = dhm_mod.DhmSpec(
             noise=noise,
@@ -431,25 +420,36 @@ def check_equivalence(
     }
 
 
+def _hier_flat_returns(
+    seed: int, stream: int, k: int, n_leaves: int, length: int, hier_p: tuple[float, float]
+) -> dict[str, np.ndarray]:
+    """Returns of one random tree and noise under heterogeneous and all-on risks."""
+    rng = derived_rng(seed, stream, k)
+    labels = [f"A{i:02d}" for i in range(n_leaves)]
+    base = random_binary_tree(n_leaves, rng, labels)
+    noise = one_factor_correlation(labels, rng)
+    run_seed = int(rng.integers(0, 2**63))
+    returns = {}
+    for tag, (lo, hi) in {"hier": hier_p, "flat": (1.0, 1.0)}.items():
+        tree = dhm_mod.draw_probabilities(base, lo, hi, derived_rng(seed, stream + 1, k))
+        spec = dhm_mod.DhmSpec(
+            noise=noise, regimes=(dhm_mod.Regime(tree=tree, duration=length),),
+            logvol=dhm_mod.LogVolSpec(), length=length, seed=run_seed,
+        )
+        returns[tag] = dhm_mod.simulate_returns(spec).returns.values
+    return returns
+
+
 def check_median_shift(n_runs: int, length: int, seed: int, n_leaves: int = 16) -> dict:
     """Median pair correlation must drop when risks fire heterogeneously."""
+    upper = np.triu_indices(n_leaves, k=1)
     shifts = []
     for k in range(n_runs):
-        rng = derived_rng(seed, 20, k)
-        labels = [f"A{i:02d}" for i in range(n_leaves)]
-        base = random_binary_tree(n_leaves, rng, labels)
-        noise = _one_factor_correlation(labels, rng)
-        run_seed = int(rng.integers(0, 2**63))
-        medians = {}
-        for tag, (lo, hi) in {"hier": (0.1, 0.4), "flat": (1.0, 1.0)}.items():
-            tree = dhm_mod.draw_probabilities(base, lo, hi, derived_rng(seed, 21, k))
-            spec = dhm_mod.DhmSpec(
-                noise=noise, regimes=(dhm_mod.Regime(tree=tree, duration=length),),
-                logvol=dhm_mod.LogVolSpec(), length=length, seed=run_seed,
-            )
-            corr = np.corrcoef(dhm_mod.simulate_returns(spec).returns.values.T)
-            medians[tag] = float(np.median(corr[np.triu_indices(n_leaves, k=1)]))
-        shifts.append(medians)
+        returns = _hier_flat_returns(seed, 20, k, n_leaves, length, (0.1, 0.4))
+        shifts.append({
+            tag: float(np.median(np.corrcoef(values.T)[upper]))
+            for tag, values in returns.items()
+        })
     passed = all(m["hier"] < m["flat"] for m in shifts)
     return {
         "check": "correlation_median_shift", "runs": n_runs, "length": length,
@@ -463,24 +463,14 @@ def check_tau_dispersion(
     """(rho, tau) scatter must sit farther from the elliptical curve under hierarchy."""
     rms = {"hier": [], "flat": []}
     for k in range(n_seeds):
-        rng = derived_rng(seed, 30, k)
-        labels = [f"A{i:02d}" for i in range(n_leaves)]
-        base = random_binary_tree(n_leaves, rng, labels)
-        noise = _one_factor_correlation(labels, rng)
-        run_seed = int(rng.integers(0, 2**63))
-        for tag, (lo, hi) in {"hier": (0.4, 0.6), "flat": (1.0, 1.0)}.items():
-            tree = dhm_mod.draw_probabilities(base, lo, hi, derived_rng(seed, 31, k))
-            spec = dhm_mod.DhmSpec(
-                noise=noise, regimes=(dhm_mod.Regime(tree=tree, duration=length),),
-                logvol=dhm_mod.LogVolSpec(), length=length, seed=run_seed,
-            )
-            values = dhm_mod.simulate_returns(spec).returns.values
-            devs = []
-            for i in range(n_leaves):
-                for j in range(i + 1, n_leaves):
-                    rho = float(np.corrcoef(values[:, i], values[:, j])[0, 1])
-                    tau = kendall_tau(values[:, i], values[:, j])
-                    devs.append(tau - elliptical_tau(rho))
+        returns = _hier_flat_returns(seed, 30, k, n_leaves, length, (0.4, 0.6))
+        for tag, values in returns.items():
+            corr = np.corrcoef(values.T)
+            devs = [
+                kendall_tau(values[:, i], values[:, j]) - elliptical_tau(float(corr[i, j]))
+                for i in range(n_leaves)
+                for j in range(i + 1, n_leaves)
+            ]
             rms[tag].append(float(np.sqrt(np.mean(np.square(devs)))))
     ratio = float(np.mean(rms["hier"]) / np.mean(rms["flat"]))
     return {
@@ -543,14 +533,16 @@ def cmd_calibrate(args) -> int:
         raise UsageError(
             f"--length {length} is too short for the Hurst fit; need at least {MIN_SERIES_LENGTH}"
         )
-    if count < 100:
-        manifest.warn("low realization count")
     try:
-        calibration = calibrate_threshold(
-            count, (hurst_min, hurst_max), length, seed, jobs=args.jobs
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calibration = calibrate_threshold(
+                count, (hurst_min, hurst_max), length, seed, jobs=args.jobs
+            )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for w in caught:
+        manifest.warn(str(w.message))
     manifest.stage("calibrate")
     write_json_atomic(manifest.record(out / "threshold.json"), calibration.to_json())
     manifest.write()
@@ -613,10 +605,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

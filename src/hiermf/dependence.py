@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 
 from hiermf.market_data import ReturnsPanel
 
@@ -22,6 +23,7 @@ __all__ = [
     "exp_weights",
     "flat_weights",
     "weighted_pearson_matrix",
+    "one_factor_correlation",
     "kendall_tau",
     "elliptical_tau",
     "corr_to_distance",
@@ -132,86 +134,29 @@ def weighted_pearson_matrix(panel: ReturnsPanel, scheme: WeightScheme) -> Correl
     return CorrelationMatrix(assets=panel.assets, values=corr, scheme=scheme)
 
 
-_MERGE_BASE = 64
-
-
-def _merge_count_inversions(values: np.ndarray) -> int:
-    """Inversions (i < j with values[i] > values[j]) by bottom-up merge counting.
-
-    Ties never count as inversions. Base blocks are counted by direct pair
-    comparison in one vectorized pass, then merged upward; the total stays
-    O(n log n) with a constant-size base.
-    """
-    buf = values.copy()
-    n = buf.shape[0]
-    inversions = 0
-
-    base = min(_MERGE_BASE, n)
-    blocks = n // base
-    if blocks:
-        head = buf[: blocks * base].reshape(blocks, base)
-        upper = np.triu_indices(base, k=1)
-        inversions += int(np.count_nonzero(head[:, upper[0]] > head[:, upper[1]]))
-        head.sort(axis=1)
-    tail = buf[blocks * base :]
-    if tail.shape[0] > 1:
-        upper = np.triu_indices(tail.shape[0], k=1)
-        inversions += int(np.count_nonzero(tail[upper[0]] > tail[upper[1]]))
-        tail.sort()
-
-    width = base
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            left, right = buf[lo:mid], buf[mid:hi]
-            # strictly-greater count of left elements above each right element
-            pos = np.searchsorted(left, right, side="right")
-            inversions += int((left.shape[0] - pos).sum())
-            merged = np.empty(hi - lo)
-            right_slot = np.arange(right.shape[0]) + pos
-            left_slot = np.arange(left.shape[0]) + np.searchsorted(right, left, side="left")
-            merged[right_slot] = right
-            merged[left_slot] = left
-            buf[lo:hi] = merged
-        width *= 2
-    return inversions
-
-
-def _tie_term(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+def one_factor_correlation(labels, rng: np.random.Generator) -> CorrelationMatrix:
+    """Random PSD correlation with every off-diagonal entry in [0.2, 0.8]."""
+    loadings = rng.uniform(np.sqrt(0.2), np.sqrt(0.8), size=len(labels))
+    values = np.outer(loadings, loadings)
+    np.fill_diagonal(values, 1.0)
+    return CorrelationMatrix(assets=tuple(labels), values=values)
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
-    """Tie-corrected Kendall tau-b via O(n log n) merge counting.
+    """Tie-corrected Kendall tau-b, by scipy's O(n log n) method (Knight 1966).
 
-    Agrees exactly with full pair enumeration; ties in either variable are
-    handled by the tau-b normalization.
+    Agrees with full pair enumeration; ties in either variable are handled by
+    the tau-b normalization.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-
-    n0 = n * (n - 1) // 2
-    ties_x = _tie_term(xs)
-    ties_y = _tie_term(ys)
-    if ties_x == n0 or ties_y == n0:
+    if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("tau undefined for a constant input")
-    both = np.rec.fromarrays((xs, ys))
-    _, joint_counts = np.unique(both, return_counts=True)
-    ties_xy = int((joint_counts * (joint_counts - 1) // 2).sum())
-
-    discordant = _merge_count_inversions(ys)
-    concordant_minus_discordant = n0 - ties_x - ties_y + ties_xy - 2 * discordant
-    denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
-    return concordant_minus_discordant / denom
+    return float(stats.kendalltau(x, y).statistic)
 
 
 def elliptical_tau(rho: float) -> float:
@@ -237,8 +182,8 @@ def write_correlation_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
             writer.writerow([label, *(repr(float(v)) for v in row)])
 
 
-def read_correlation_csv(path: str | Path) -> CorrelationMatrix:
-    """Inverse of write_correlation_csv (the weighting scheme is not recoverable)."""
+def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and values of a labeled square CSV; each row label must match its column."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or len(rows[0]) < 2:
@@ -251,4 +196,10 @@ def read_correlation_csv(path: str | Path) -> CorrelationMatrix:
         if row[0] != assets[i]:
             raise ValueError(f"{path}: row label {row[0]!r} does not match column {assets[i]!r}")
         values[i] = [float(v) for v in row[1:]]
+    return assets, values
+
+
+def read_correlation_csv(path: str | Path) -> CorrelationMatrix:
+    """Inverse of write_correlation_csv (the weighting scheme is not recoverable)."""
+    assets, values = _read_labeled_matrix(path)
     return CorrelationMatrix(assets=assets, values=values)

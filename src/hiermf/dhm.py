@@ -19,10 +19,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from hiermf.dependence import CorrelationMatrix
+from hiermf.dependence import CorrelationMatrix, _read_labeled_matrix
 from hiermf.hierarchy import Dendrogram, leaf_path, parse_dendrogram
 from hiermf.market_data import ReturnsPanel
-from hiermf.scaling import _circulant_sample
+from hiermf.scaling import _circulant_sample, _embedding_eigenvalues
 from hiermf.util import derived_rng
 
 __all__ = [
@@ -122,9 +122,14 @@ def xi_covariance(spec: LogVolSpec, lags: np.ndarray | int) -> np.ndarray:
     return np.where(h >= spec.horizon - 1, 0.0, cov)
 
 
-def _xi_sample(spec: LogVolSpec, length: int, rng: np.random.Generator):
+def _xi_sample(spec: LogVolSpec, length: int, rng: np.random.Generator) -> np.ndarray:
     cov = xi_covariance(spec, np.arange(length + 1))
-    return _circulant_sample(cov, rng, clip_negative=True)
+    sample, clipped = _circulant_sample(cov, rng, clip_negative=True)
+    if clipped > MAX_CLIPPED_EIGENVALUE_MASS:
+        raise ValueError(
+            f"embedding clipped {clipped:.2%} of eigenvalue mass; use a longer path"
+        )
+    return sample
 
 
 def simulate_xi(spec: LogVolSpec, length: int, seed: int) -> np.ndarray:
@@ -136,24 +141,14 @@ def simulate_xi(spec: LogVolSpec, length: int, seed: int) -> np.ndarray:
     """
     if length < 2:
         raise ValueError("length must be >= 2")
-    sample, clipped = _xi_sample(spec, length, np.random.default_rng(seed))
-    if clipped > MAX_CLIPPED_EIGENVALUE_MASS:
-        raise ValueError(
-            f"embedding clipped {clipped:.2%} of eigenvalue mass; use a longer path"
-        )
-    return sample
+    return _xi_sample(spec, length, np.random.default_rng(seed))
 
 
 def xi_embedding_report(spec: LogVolSpec, length: int) -> dict:
     """Achieved-vs-target covariance deviation of the clipped embedding."""
     target = xi_covariance(spec, np.arange(length + 1))
-    n = length
-    first_row = np.concatenate((target, target[-2:0:-1]))
-    eig = np.fft.fft(first_row).real
-    clipped_mass = float(-eig[eig < 0].sum() / np.abs(eig).sum())
-    eig_pos = np.where(eig < 0, 0.0, eig)
-    eig_pos *= first_row[0] * (2 * n) / eig_pos.sum()
-    achieved = np.fft.ifft(eig_pos).real[: length + 1]
+    eig, clipped_mass = _embedding_eigenvalues(target, clip_negative=True)
+    achieved = np.fft.ifft(eig).real[: length + 1]
     return {
         "clipped_eigenvalue_mass": clipped_mass,
         "max_abs_covariance_error": float(np.max(np.abs(achieved - target))),
@@ -191,8 +186,7 @@ def sample_activations(tree: RiskTree, length: int, seed_or_rng) -> Activations:
 
 def hierarchical_factor(tree: RiskTree, activations: Activations, leaf: str, t: int) -> float:
     """Y[leaf, t] = exp(number of active path risks at t)."""
-    rows = [activations.node_ids.index(i) for i in leaf_path(tree.tree, leaf).node_ids]
-    return float(np.exp(activations.values[rows, t].sum()))
+    return float(_leaf_factors(tree, activations, (leaf,))[t, 0])
 
 
 def _leaf_factors(tree: RiskTree, activations: Activations, leaves: Sequence[str]) -> np.ndarray:
@@ -284,11 +278,7 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     if spec.logvol is None:
         xi = np.zeros(spec.length)
     else:
-        xi, clipped = _xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
-        if clipped > MAX_CLIPPED_EIGENVALUE_MASS:
-            raise ValueError(
-                f"embedding clipped {clipped:.2%} of eigenvalue mass; use a longer path"
-            )
+        xi = _xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
     x = np.exp(xi)
 
     values = epsilon * x[:, None]
@@ -335,20 +325,45 @@ def zeta2(p):
     return float(out) if out.ndim == 0 else out
 
 
+def _perturbation_matrix(tree: RiskTree, leaves: Sequence[str]) -> np.ndarray:
+    """F[i, j] for every pair of `leaves`, with a unit diagonal.
+
+    Each leaf carries a running product of zeta1 / sqrt(zeta2) over its
+    ancestors, multiplied in from the leaf upward. The leaves under a node's
+    two children meet at that node, so a pair's factor is the product of
+    their two running values there: exactly the non-shared path nodes. Nodes
+    above the lowest common ancestor never enter the arithmetic.
+    """
+    unknown = set(leaves) - set(tree.leaves)
+    if unknown:
+        raise ValueError(f"unknown leaf {sorted(unknown)[0]!r}")
+    f = np.eye(len(leaves))
+    # leaf or node -> (positions of the leaves under it, their running products)
+    below = {leaf: (np.array([k]), np.ones(1)) for k, leaf in enumerate(leaves)}
+    nothing = (np.empty(0, dtype=int), np.empty(0))
+    nodes, stack = [], [tree.tree.root]
+    while stack:  # pre-order, so reversed it visits children before parents
+        nodes.append(tree.tree.node(stack.pop()))
+        stack.extend(c for c in (nodes[-1].left, nodes[-1].right) if isinstance(c, int))
+    for node in reversed(nodes):
+        (li, lp), (ri, rp) = below.pop(node.left, nothing), below.pop(node.right, nothing)
+        f[np.ix_(li, ri)] = np.outer(lp, rp)
+        f[np.ix_(ri, li)] = f[np.ix_(li, ri)].T
+        g = (node.p * E1 + 1.0) / math.sqrt(node.p * E2 + 1.0)
+        below[node.id] = (np.concatenate((li, ri)), np.concatenate((lp, rp)) * g)
+    return f
+
+
 def perturbation_factor(tree: RiskTree, leaf_i: str, leaf_j: str) -> float:
     """Correlation shrinkage from non-shared path risks.
 
-    Product of zeta1 over the symmetric difference of the two leaf paths,
-    divided by the square root of the product of zeta2 over the same nodes.
-    Shared ancestors cancel exactly; all-zero or all-one probabilities give 1.
+    Product of zeta1 / sqrt(zeta2) over the symmetric difference of the two
+    leaf paths. Shared ancestors cancel exactly; all-zero or all-one
+    probabilities give 1.
     """
     if leaf_i == leaf_j:
         raise ValueError("perturbation factor is defined for distinct leaves")
-    diff = tree.path_ids(leaf_i) ^ tree.path_ids(leaf_j)
-    if not diff:
-        return 1.0
-    p = np.array([tree.probability(m) for m in sorted(diff)])
-    return float(np.prod(zeta1(p)) / math.sqrt(np.prod(zeta2(p))))
+    return float(_perturbation_matrix(tree, (leaf_i, leaf_j))[0, 1])
 
 
 def _noise_from_config(noise_cfg, leaves: tuple[str, ...], base_dir):
@@ -365,12 +380,7 @@ def _noise_from_config(noise_cfg, leaves: tuple[str, ...], base_dir):
         np.fill_diagonal(values, 1.0)
         return CorrelationMatrix(assets=leaves, values=values), None
     if "file" in noise_cfg:
-        import csv
-
-        with open(base_dir / noise_cfg["file"], newline="") as fh:
-            rows = list(csv.reader(fh))
-        assets = tuple(rows[0][1:])
-        values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        assets, values = _read_labeled_matrix(base_dir / noise_cfg["file"])
         diag = np.diag(values).copy()
         if np.allclose(diag, 1.0, atol=1e-12):
             return CorrelationMatrix(assets=assets, values=values), None
@@ -470,17 +480,6 @@ def theoretical_correlation(noise: CorrelationMatrix, tree: RiskTree) -> Correla
     """Model correlation: entrywise noise correlation times the perturbation factor."""
     if set(noise.assets) != set(tree.leaves):
         raise ValueError("correlation assets do not match tree leaves")
-    assets = noise.assets
-    paths = {leaf: tree.path_ids(leaf) for leaf in assets}
-    probs = {node_id: tree.probability(node_id) for node_id in tree.node_ids}
-    n = len(assets)
-    values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = paths[assets[i]] ^ paths[assets[j]]
-            f = 1.0
-            for m in diff:
-                p = probs[m]
-                f *= (p * E1 + 1.0) / math.sqrt(p * E2 + 1.0)
-            values[i, j] = values[j, i] = noise.values[i, j] * f
-    return CorrelationMatrix(assets=assets, values=values, scheme=noise.scheme)
+    upper = np.triu(noise.values * _perturbation_matrix(tree, noise.assets), k=1)
+    values = upper + upper.T + np.eye(noise.n_assets)
+    return CorrelationMatrix(assets=noise.assets, values=values, scheme=noise.scheme)

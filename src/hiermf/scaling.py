@@ -212,34 +212,43 @@ def fgn_autocovariance(hurst: float, lags: np.ndarray | int) -> np.ndarray:
     return 0.5 * ((h + 1) ** two_h - 2 * h**two_h + np.abs(h - 1) ** two_h)
 
 
+def _embedding_eigenvalues(cov: np.ndarray, clip_negative: bool) -> tuple[np.ndarray, float]:
+    """Eigenvalues of the circulant embedding of autocovariances at lags 0..n.
+
+    Negative eigenvalues are clipped to zero and the rest rescaled so the
+    marginal variance (mean eigenvalue) is preserved. Returns (eigenvalues,
+    clipped_mass), where clipped_mass is the fraction of total eigenvalue
+    magnitude removed (0 when the embedding is nonnegative definite). With
+    clip_negative=False a materially negative eigenvalue raises instead.
+    """
+    n = cov.shape[0] - 1
+    if n < 1:
+        raise ValueError("need covariances at lags 0..n with n >= 1")
+    first_row = np.concatenate((cov, cov[-2:0:-1]))
+    eig = np.fft.fft(first_row).real
+    if not clip_negative and eig.min() < -1e-8 * eig.max():
+        raise ValueError(
+            f"circulant embedding has negative eigenvalue {eig.min():.3e} beyond tolerance"
+        )
+    negative = eig < 0
+    total_mass = float(np.abs(eig).sum())
+    clipped = float(-eig[negative].sum()) / total_mass if total_mass > 0 else 0.0
+    if negative.any():
+        eig = np.where(negative, 0.0, eig)
+        eig *= first_row[0] * (2 * n) / eig.sum()
+    return eig, clipped
+
+
 def _circulant_sample(cov: np.ndarray, rng: np.random.Generator, clip_negative: bool = False):
     """Exact stationary Gaussian sample by circulant embedding.
 
     `cov` holds autocovariances at lags 0..n, producing a sample of length n
     whose covariances at lags 0..n-1 are exact. Returns (sample,
-    clipped_mass) where clipped_mass is the fraction of total eigenvalue
-    magnitude removed by clipping (0 when the embedding is nonnegative
-    definite). With clip_negative=False a materially negative eigenvalue
-    raises instead.
+    clipped_mass) as described in _embedding_eigenvalues.
     """
-    n = cov.shape[0] - 1
-    if n < 1:
-        raise ValueError("need covariances at lags 0..n with n >= 1")
-    m = 2 * n
-    first_row = np.concatenate((cov, cov[-2:0:-1]))
-    eig = np.fft.fft(first_row).real
-    tol = 1e-8 * eig.max()
-    negative = eig < 0
-    neg_mass = float(-eig[negative].sum())
-    total_mass = float(np.abs(eig).sum())
-    if not clip_negative and eig.min() < -tol:
-        raise ValueError(
-            f"circulant embedding has negative eigenvalue {eig.min():.3e} beyond tolerance"
-        )
-    if negative.any():
-        eig = np.where(negative, 0.0, eig)
-        # redistribute so the marginal variance (mean eigenvalue) is preserved
-        eig *= first_row[0] * m / eig.sum()
+    eig, clipped = _embedding_eigenvalues(cov, clip_negative)
+    m = eig.shape[0]
+    n = m // 2
     z = np.empty(m, dtype=complex)
     v = rng.standard_normal((n - 1, 2))
     z[0] = rng.standard_normal()
@@ -247,7 +256,7 @@ def _circulant_sample(cov: np.ndarray, rng: np.random.Generator, clip_negative: 
     z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
     z[n + 1 :] = np.conj(z[1:n][::-1])
     sample = np.sqrt(m) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
-    return sample, (neg_mass / total_mass if total_mass > 0 else 0.0)
+    return sample, clipped
 
 
 def _fgn(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:

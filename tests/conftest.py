@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermf.dependence import CorrelationMatrix
+from hiermf.dependence import CorrelationMatrix, one_factor_correlation  # noqa: F401 - tests import it from here
 from hiermf.hierarchy import parse_dendrogram, tree_from_leaf_depths
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -26,14 +26,6 @@ def example_tree(example_tree_path):
 @pytest.fixture(scope="session")
 def profile_tree():
     return tree_from_leaf_depths(PROFILE_DEPTHS, PROFILE_LABELS)
-
-
-def one_factor_correlation(labels, rng) -> CorrelationMatrix:
-    """Random PSD correlation with every off-diagonal entry in [0.2, 0.8]."""
-    loadings = rng.uniform(np.sqrt(0.2), np.sqrt(0.8), size=len(labels))
-    values = np.outer(loadings, loadings)
-    np.fill_diagonal(values, 1.0)
-    return CorrelationMatrix(assets=tuple(labels), values=values)
 
 
 def equicorrelation(labels, rho=0.3) -> CorrelationMatrix:

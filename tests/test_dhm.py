@@ -240,6 +240,47 @@ def test_theoretical_correlation_all_on_equals_noise():
     assert np.allclose(theoretical_correlation(noise, tree).values, noise.values, atol=1e-14)
 
 
+def _pairwise_loop_correlation(noise, tree):
+    """Reference: the pair-by-pair double loop the matrix kernel replaced."""
+    assets = noise.assets
+    paths = {leaf: tree.path_ids(leaf) for leaf in assets}
+    probs = {node_id: tree.probability(node_id) for node_id in tree.node_ids}
+    n = len(assets)
+    values = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = paths[assets[i]] ^ paths[assets[j]]
+            f = 1.0
+            for m in diff:
+                p = probs[m]
+                f *= (p * (E - 1.0) + 1.0) / math.sqrt(p * (E**2 - 1.0) + 1.0)
+            values[i, j] = values[j, i] = noise.values[i, j] * f
+    return values
+
+
+@pytest.mark.parametrize("n_leaves", [2, 3, 17, 120, 400])
+def test_theoretical_correlation_matches_pairwise_loop(n_leaves):
+    rng = np.random.default_rng(n_leaves)
+    labels = [f"A{i:03d}" for i in range(n_leaves)]
+    shape = comb_tree(n_leaves, labels) if n_leaves == 120 else random_binary_tree(n_leaves, rng, labels)
+    tree = draw_probabilities(shape, 0.0, 1.0, rng)
+    noise = one_factor_correlation(labels, rng)
+    theory = theoretical_correlation(noise, tree).values
+    reference = _pairwise_loop_correlation(noise, tree)
+    assert np.max(np.abs(theory - reference)) <= 1e-14
+    assert np.array_equal(theory, theory.T) and np.all(np.diag(theory) == 1.0)
+    for i, j in ((0, n_leaves - 1), (n_leaves // 2, 0)):
+        if i != j:
+            f = perturbation_factor(tree, labels[i], labels[j])
+            assert f == pytest.approx(reference[i, j] / noise.values[i, j], abs=1e-14)
+
+
+def test_perturbation_factor_unknown_leaf():
+    tree = risk_comb(3, 0.5)
+    with pytest.raises(ValueError, match="unknown leaf"):
+        perturbation_factor(tree, tree.leaves[0], "nope")
+
+
 def test_shared_ancestor_cancellation():
     rng = np.random.default_rng(7)
     base = random_binary_tree(6, rng)
@@ -449,6 +490,27 @@ def test_load_dhm_config_covariance_file_is_normalized(tmp_path):
     spec = load_dhm_config(tmp_path / "m.json")
     assert np.allclose(spec.noise.values, corr, atol=1e-12)
     assert np.allclose(spec.noise_variances, variances)
+
+
+def test_load_dhm_config_rejects_mislabeled_noise_rows(tmp_path):
+    # rows a and b are swapped, labels included, under an unchanged header
+    labels = ["a", "b", "c"]
+    tree = comb_tree(3, labels)
+    serialize_dendrogram(tree.with_probabilities({n.id: 0.5 for n in tree.nodes}), tmp_path / "t.json")
+    cov = np.array([[4.0, 3.0, 0.2], [3.0, 9.0, 0.45], [0.2, 0.45, 0.25]])
+    lines = [",a,b,c"]
+    for lab, row in zip(["b", "a", "c"], cov[[1, 0, 2]]):
+        lines.append(lab + "," + ",".join(repr(float(v)) for v in row))
+    (tmp_path / "cov.csv").write_text("\n".join(lines) + "\n")
+    config = {
+        "length": 10,
+        "seed": 1,
+        "noise": {"file": "cov.csv"},
+        "regimes": [{"tree": "t.json", "duration": 10}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=r"cov\.csv: row label 'b'"):
+        load_dhm_config(tmp_path / "m.json")
 
 
 def test_load_dhm_config_explicit_p_wins(tmp_path):
