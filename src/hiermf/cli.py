@@ -124,7 +124,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_panel(args, config: dict) -> tuple[ReturnsPanel, dict]:
+def _load_panel(args, config: dict, min_rows: int) -> tuple[ReturnsPanel, dict]:
+    """Aligned scale-1 panel and its ingestion sidecar; fewer than `min_rows` returns is an error."""
     data = _setting(args, config, "data")
     if not data:
         raise UsageError("no input panel; pass --data or set 'data' in the config")
@@ -137,6 +138,13 @@ def _load_panel(args, config: dict) -> tuple[ReturnsPanel, dict]:
         panel = returns_panel(series)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if panel.n_times < min_rows:
+        message = f"{data}: {panel.n_times} aligned returns, need at least {min_rows}"
+        worst = max(report.drop_counts, key=report.drop_counts.get)
+        dropped = report.drop_counts[worst]
+        if dropped:
+            message += f"; ticker {worst!r} dropped {dropped} of {dropped + len(series[worst])}"
+        raise UsageError(message)
     sidecar = report.to_sidecar()
     sidecar["aligned_rows"] = panel.n_times
     return panel, sidecar
@@ -171,7 +179,8 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
     })
 
-    panel, ingestion = _load_panel(args, config)
+    # the Hurst fit needs MIN_SERIES_LENGTH log-prices, one more than returns
+    panel, ingestion = _load_panel(args, config, MIN_SERIES_LENGTH - 1)
     manifest.stage("load")
 
     theta = float(_setting(args, config, "theta", panel.n_times / 3.0))
@@ -339,7 +348,7 @@ def cmd_rolling(args) -> int:
             f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
         )
 
-    panel, ingestion = _load_panel(args, config)
+    panel, ingestion = _load_panel(args, config, length)
     try:
         windows = rolling_windows(panel, WindowSpec(length=length, count=count))
     except ValueError as exc:

@@ -154,6 +154,9 @@ def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations")
+    for name, v in (("x", x), ("y", y)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} contains non-finite values")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("tau undefined for a constant input")
     return float(stats.kendalltau(x, y).statistic)

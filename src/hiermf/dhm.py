@@ -380,10 +380,16 @@ def _noise_from_config(noise_cfg, leaves: tuple[str, ...], base_dir):
         np.fill_diagonal(values, 1.0)
         return CorrelationMatrix(assets=leaves, values=values), None
     if "file" in noise_cfg:
-        assets, values = _read_labeled_matrix(base_dir / noise_cfg["file"])
+        path = base_dir / noise_cfg["file"]
+        assets, values = _read_labeled_matrix(path)
         diag = np.diag(values).copy()
         if np.allclose(diag, 1.0, atol=1e-12):
             return CorrelationMatrix(assets=assets, values=values), None
+        for asset, variance in zip(assets, diag):
+            if not (math.isfinite(variance) and variance > 0):
+                raise ValueError(
+                    f"{path}: variance of {asset!r} is {variance}; it must be finite and positive"
+                )
         scale = np.sqrt(diag)
         corr = values / np.outer(scale, scale)
         corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)

@@ -7,7 +7,9 @@ package is a count of trading days, never calendar arithmetic.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,9 +50,11 @@ class PriceSeries:
             raise ValueError(f"{self.ticker}: need at least 2 prices, got {prices.shape[0]}")
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0):
             raise ValueError(f"{self.ticker}: prices must be finite and strictly positive")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if not a < b:
-                raise ValueError(f"{self.ticker}: timestamps not strictly increasing at {b!r}")
+        ts = self.timestamps
+        if not all(map(operator.lt, ts, ts[1:])):
+            for a, b in zip(ts, ts[1:]):
+                if not a < b:
+                    raise ValueError(f"{self.ticker}: timestamps not strictly increasing at {b!r}")
         prices.flags.writeable = False
 
     def __len__(self) -> int:
@@ -185,6 +189,13 @@ def load_prices_csv(
     Rows with a missing or non-positive price are dropped for that ticker
     only; the per-ticker drop counts are returned in the LoadReport. Dates
     must be strictly increasing over the whole file.
+
+    A cell is read with `float()` after stripping whitespace; a cell it
+    rejects counts as missing. Blank lines are skipped and a short row reads
+    as missing cells. A price column named twice among the tickers read is
+    an error; a repeated date column, or a repeated name picked once through
+    `CsvSchema.price_columns`, reads the last column of that name. Line
+    numbers in errors are physical lines of the file.
     """
     schema = schema or CsvSchema()
     path = Path(path)
@@ -193,51 +204,96 @@ def load_prices_csv(
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
-        if reader.fieldnames is None or schema.date_column not in reader.fieldnames:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        header = next(reader, None)
+        if header is None or schema.date_column not in header:
             raise ValueError(f"{path}: missing date column {schema.date_column!r}")
-        tickers = list(schema.price_columns or [c for c in reader.fieldnames if c != schema.date_column])
+        tickers = list(schema.price_columns or [c for c in header if c != schema.date_column])
         for t in tickers:
-            if t not in reader.fieldnames:
+            if t not in header:
                 raise ValueError(f"{path}: missing price column {t!r}")
         if not tickers:
             raise ValueError(f"{path}: no price columns")
+        if len(set(tickers)) < len(tickers):
+            dup = next(t for k, t in enumerate(tickers) if t in tickers[:k])
+            raise ValueError(f"{path}: duplicate price column {dup!r}")
+        rows = list(filter(None, reader))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
 
-        dates: list[str] = []
-        kept: dict[str, list[tuple[str, float]]] = {t: [] for t in tickers}
-        report = LoadReport(source=str(path), schema=schema, drop_counts={t: 0 for t in tickers})
-        prev_date = None
-        for lineno, row in enumerate(reader, start=2):
-            date = (row.get(schema.date_column) or "").strip()
-            if not date:
-                raise ValueError(f"{path}:{lineno}: empty date")
-            if prev_date is not None and not prev_date < date:
-                raise ValueError(
-                    f"{path}:{lineno}: dates not strictly increasing ({date!r} after {prev_date!r})"
-                )
-            prev_date = date
-            dates.append(date)
-            for t in tickers:
-                cell = (row.get(t) or "").strip()
-                try:
-                    price = float(cell)
-                except ValueError:
-                    price = math.nan
-                if math.isfinite(price) and price > 0:
-                    kept[t].append((date, price))
-                else:
-                    report.drop_counts[t] += 1
+    # the last column of a repeated name wins
+    position = {name: j for j, name in enumerate(header)}
+    width = 1 + max(position[c] for c in (schema.date_column, *tickers))
+    if min(map(len, rows)) < width:
+        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
+    columns = list(zip(*rows))
+    del rows
 
-        if not dates:
-            raise ValueError(f"{path}: no data rows")
+    dates = tuple(map(str.strip, columns[position[schema.date_column]]))
+    _check_dates(path, schema.delimiter, dates)
 
+    report = LoadReport(source=str(path), schema=schema, drop_counts={})
     series: dict[str, PriceSeries] = {}
     for t in tickers:
-        if len(kept[t]) < 2:
+        prices = _parse_column(columns[position[t]])
+        columns[position[t]] = ()  # release the parsed cells before the next column
+        valid = np.isfinite(prices)
+        valid[valid] = prices[valid] > 0  # NaN never enters a comparison
+        kept = int(np.count_nonzero(valid))
+        report.drop_counts[t] = len(dates) - kept
+        if kept < 2:
             raise ValueError(f"{path}: ticker {t!r} has fewer than 2 valid rows")
-        ts, px = zip(*kept[t])
-        series[t] = PriceSeries(ticker=t, timestamps=ts, prices=np.array(px))
+        stamps = tuple(itertools.compress(dates, valid.tolist()))
+        series[t] = PriceSeries(ticker=t, timestamps=stamps, prices=prices[valid])
     return series, report
+
+
+def _parse_column(cells: Sequence[str]) -> np.ndarray:
+    """float() of each stripped cell; a cell float() rejects becomes NaN."""
+    try:
+        return np.array(list(map(float, map(str.strip, cells))))
+    except ValueError:
+        return np.array([_parse_cell(c.strip()) for c in cells])
+
+
+def _parse_cell(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _check_dates(path: Path, delimiter: str, dates: tuple[str, ...]) -> None:
+    """Raise on the first empty or out-of-order date, naming its physical line."""
+    if all(dates) and all(map(operator.lt, dates, dates[1:])):
+        return
+    for k, date in enumerate(dates):
+        if not date:
+            raise ValueError(f"{path}:{_physical_line(path, delimiter, k)}: empty date")
+        if k and not dates[k - 1] < date:
+            raise ValueError(
+                f"{path}:{_physical_line(path, delimiter, k)}: dates not strictly "
+                f"increasing ({date!r} after {dates[k - 1]!r})"
+            )
+
+
+def _physical_line(path: Path, delimiter: str, k: int) -> int:
+    """Line of the file on which data row k (0-based, blank lines not counted) ends.
+
+    The file is read a second time; if that fails or the file has become
+    shorter (a pipe, or a file rewritten meanwhile), the row's position in
+    the first read, k + 2, is returned instead.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            next(reader)
+            rows = filter(None, reader)
+            for _ in range(k + 1):
+                next(rows)
+            return reader.line_num
+    except (OSError, UnicodeError, StopIteration, csv.Error):
+        return k + 2
 
 
 def log_returns(series: PriceSeries | np.ndarray, scale: int = 1) -> np.ndarray:
@@ -277,17 +333,17 @@ def align_series(series: Sequence[PriceSeries]) -> tuple[tuple[str, ...], tuple[
     """
     if not series:
         raise ValueError("no series to align")
-    common = set(series[0].timestamps)
-    for s in series[1:]:
-        common &= set(s.timestamps)
+    common = set(series[0].timestamps).intersection(*(s.timestamps for s in series[1:]))
     if len(common) < 2:
         raise ValueError("fewer than 2 common dates across tickers")
-    dates = tuple(sorted(common))
-    matrix = np.empty((len(dates), len(series)))
-    for j, s in enumerate(series):
-        lookup = dict(zip(s.timestamps, s.prices))
-        matrix[:, j] = [lookup[d] for d in dates]
-    return dates, tuple(s.ticker for s in series), matrix
+    # every index is strictly increasing, so filtering any of them keeps date order
+    dates = tuple(filter(common.__contains__, series[0].timestamps))
+    tickers = tuple(s.ticker for s in series)
+    matrix = np.column_stack([
+        s.prices[np.fromiter(map(common.__contains__, s.timestamps), bool, len(s))]
+        for s in series
+    ])
+    return dates, tickers, matrix
 
 
 def returns_panel(series: Sequence[PriceSeries] | Mapping[str, PriceSeries], scale: int = 1) -> ReturnsPanel:

@@ -244,6 +244,40 @@ def test_analyze_missing_tree_file(tmp_path, capsys):
     assert str(missing) in err
 
 
+def write_overflowing_price_csv(path, overflow_after=21):
+    """400 rows of 4 tickers; T1 reads inf from row `overflow_after` on."""
+    write_price_csv(path, n_assets=4, length=400)
+    lines = path.read_text().splitlines()
+    for t in range(1 + overflow_after, len(lines)):
+        cells = lines[t].split(",")
+        cells[2] = "inf"
+        lines[t] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, flags, need",
+    [("analyze", [], 189), ("rolling", ["--window-length", "200", "--window-count", "2"], 200)],
+)
+def test_too_few_aligned_rows_names_file_and_ticker(tmp_path, capsys, command, flags, need):
+    data = tmp_path / "prices.csv"
+    write_overflowing_price_csv(data)
+    rc = main([command, "--data", str(data), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {data}: 20 aligned returns, need at least {need}; "
+        "ticker 'T1' dropped 379 of 400\n"
+    )
+
+
+def test_short_panel_without_drops_reports_row_count(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=4, length=150)
+    assert main(["analyze", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {data}: 149 aligned returns, need at least 189\n"
+
+
 def test_analyze_reproducible(tmp_path):
     data = tmp_path / "prices.csv"
     write_price_csv(data)

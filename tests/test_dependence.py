@@ -142,6 +142,13 @@ def test_tau_constant_input_rejected():
         kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+def test_tau_non_finite_input_rejected():
+    with pytest.raises(ValueError, match="^x contains non-finite values$"):
+        kendall_tau([1, 2, math.nan, 4, 5], [1, 3, 2, 5, 4])
+    with pytest.raises(ValueError, match="^y contains non-finite values$"):
+        kendall_tau([1, 3, 2, 5, 4], [1, 2, math.inf, 4, 5])
+
+
 def test_tau_gaussian_matches_elliptical_relation():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((100_000, 2))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +512,28 @@ def test_load_dhm_config_rejects_mislabeled_noise_rows(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps(config))
     with pytest.raises(ValueError, match=r"cov\.csv: row label 'b'"):
         load_dhm_config(tmp_path / "m.json")
+
+
+def test_load_dhm_config_rejects_zero_noise_variance(tmp_path):
+    labels = ["a", "b", "c"]
+    tree = comb_tree(3, labels)
+    serialize_dendrogram(tree.with_probabilities({n.id: 0.5 for n in tree.nodes}), tmp_path / "t.json")
+    cov = np.array([[4.0, 0.0, 0.2], [0.0, 0.0, 0.0], [0.2, 0.0, 0.25]])
+    lines = [",a,b,c"]
+    for lab, row in zip(labels, cov):
+        lines.append(lab + "," + ",".join(repr(float(v)) for v in row))
+    (tmp_path / "cov.csv").write_text("\n".join(lines) + "\n")
+    config = {
+        "length": 10,
+        "seed": 1,
+        "noise": {"file": "cov.csv"},
+        "regimes": [{"tree": "t.json", "duration": 10}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"cov\.csv: variance of 'b' is 0\.0"):
+            load_dhm_config(tmp_path / "m.json")
 
 
 def test_load_dhm_config_explicit_p_wins(tmp_path):

@@ -1,8 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from hiermf import market_data
 from hiermf.market_data import (
     CsvSchema,
     PriceSeries,
@@ -94,6 +97,225 @@ def test_configurable_delimiter(tmp_path):
     assert len(series["AAA"]) == 2
 
 
+def reference_load_prices_csv(path, schema=None):
+    """The row-at-a-time DictReader loader that load_prices_csv replaced.
+
+    Kept only as the oracle for the column-at-a-time loader.
+    """
+    schema = schema or CsvSchema()
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.DictReader(fh, delimiter=schema.delimiter)
+        if reader.fieldnames is None or schema.date_column not in reader.fieldnames:
+            raise ValueError(f"{path}: missing date column {schema.date_column!r}")
+        tickers = list(schema.price_columns or [c for c in reader.fieldnames if c != schema.date_column])
+        for t in tickers:
+            if t not in reader.fieldnames:
+                raise ValueError(f"{path}: missing price column {t!r}")
+        if not tickers:
+            raise ValueError(f"{path}: no price columns")
+        dates = []
+        kept = {t: [] for t in tickers}
+        drop_counts = {t: 0 for t in tickers}
+        prev_date = None
+        for lineno, row in enumerate(reader, start=2):
+            date = (row.get(schema.date_column) or "").strip()
+            if not date:
+                raise ValueError(f"{path}:{lineno}: empty date")
+            if prev_date is not None and not prev_date < date:
+                raise ValueError(
+                    f"{path}:{lineno}: dates not strictly increasing ({date!r} after {prev_date!r})"
+                )
+            prev_date = date
+            dates.append(date)
+            for t in tickers:
+                cell = (row.get(t) or "").strip()
+                try:
+                    price = float(cell)
+                except ValueError:
+                    price = math.nan
+                if math.isfinite(price) and price > 0:
+                    kept[t].append((date, price))
+                else:
+                    drop_counts[t] += 1
+        if not dates:
+            raise ValueError(f"{path}: no data rows")
+    series = {}
+    for t in tickers:
+        if len(kept[t]) < 2:
+            raise ValueError(f"{path}: ticker {t!r} has fewer than 2 valid rows")
+        ts, px = zip(*kept[t])
+        series[t] = (ts, np.array(px))
+    return series, drop_counts
+
+
+def load_outcome(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except ValueError as exc:
+        return str(exc)
+
+
+ORACLE_FILES = {
+    "bad_cells": (
+        "date,A,B\n"
+        "d01,,1\nd02,  ,2\nd03,-4,3\nd04,0,4\nd05,nan,5\nd06,inf,6\n"
+        "d07,1_000,7\nd08, 1.5 ,8\nd09,abc,9\nd10,1e,10\nd11,2.5,-inf\nd12,3,1e400\n",
+        CsvSchema(),
+    ),
+    "short_and_long_rows": (
+        "date,A,B,C\nd1,1,2,3\nd2,4\nd3,5,6,7,8,9\nd4,6,,\nd5,7,8\n",
+        CsvSchema(),
+    ),
+    "repeated_date_column": (
+        "date,A,date\nx1,1,d1\nx0,2,d2\nx2,3,d3\n",
+        CsvSchema(),
+    ),
+    "repeated_selected_column": (
+        "date,A,B,A\nd1,1,5,10\nd2,2,6,\nd3,3,7,30\nd4,4,8,40\n",
+        CsvSchema(price_columns=("A", "B")),
+    ),
+    "quoted_fields": (
+        'date,"A,1",B\n"d1","1.5",2\nd2,"1,5",3\n"d3",3,"4"\nd4,"4",5\n',
+        CsvSchema(),
+    ),
+    "semicolon_blank_lines": (
+        "date;A;B\n\nd1;1,5;2\n\nd2;2;3\nd3;3;4\n\n",
+        CsvSchema(delimiter=";"),
+    ),
+    "all_cells_bad": (
+        "date,A,B\nd1,1,x\nd2,2,\nd3,3,-1\n",
+        CsvSchema(),
+    ),
+    "whitespace_dates": (
+        "date,A\n d1 ,1\nd2\t,2\n",
+        CsvSchema(),
+    ),
+    "empty_date": ("date,A\nd1,1\n  ,2\nd3,3\n", CsvSchema()),
+    "non_monotone_then_empty": ("date,A\nd1,1\nd3,2\nd2,3\n,4\n", CsvSchema()),
+    "empty_then_non_monotone": ("date,A\nd1,1\n,2\nd0,3\n", CsvSchema()),
+    "equal_dates": ("date,A\nd1,1\nd1,2\n", CsvSchema()),
+    "short_row_without_date": ("x,y,date,A\n1,2,d1,3\n1,2\n", CsvSchema()),
+    "missing_date_column": ("day,A\nd1,1\n", CsvSchema()),
+    "missing_price_column": ("date,A\nd1,1\nd2,2\n", CsvSchema(price_columns=("A", "Z"))),
+    "no_price_columns": ("date\nd1\nd2\n", CsvSchema()),
+    "no_data_rows": ("date,A\n\n\n", CsvSchema()),
+    "empty_file": ("", CsvSchema()),
+    "blank_header": ("\ndate,A\nd1,1\n", CsvSchema()),
+    "one_valid_row": ("date,A,B\nd1,1,1\nd2,2,0\nd3,3,\n", CsvSchema()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FILES))
+def test_loader_matches_dictreader_reference(tmp_path, name):
+    text, schema = ORACLE_FILES[name]
+    f = tmp_path / f"{name}.csv"
+    f.write_text(text)
+    expected = load_outcome(reference_load_prices_csv, f, schema)
+    got = load_outcome(load_prices_csv, f, schema)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    series, report = got
+    ref_series, ref_drops = expected
+    assert report.drop_counts == ref_drops
+    assert list(report.drop_counts) == list(ref_drops)
+    assert list(series) == list(ref_series)
+    for t, (stamps, prices) in ref_series.items():
+        assert series[t].timestamps == stamps
+        assert series[t].prices.tobytes() == prices.tobytes()
+
+
+def test_loader_cell_rules(tmp_path):
+    text, schema = ORACLE_FILES["bad_cells"]
+    f = tmp_path / "p.csv"
+    f.write_text(text)
+    series, report = load_prices_csv(f, schema)
+    assert series["A"].timestamps == ("d07", "d08", "d11", "d12")
+    assert series["A"].prices.tolist() == [1000.0, 1.5, 2.5, 3.0]
+    assert report.drop_counts == {"A": 8, "B": 2}
+
+
+def test_loader_matches_reference_on_generated_panel(tmp_path):
+    rng = np.random.default_rng(4)
+    prices = 100 * np.exp(np.cumsum(0.02 * rng.standard_normal((300, 6)), axis=0))
+    cells = prices.astype(object)
+    cells[rng.random(prices.shape) < 0.05] = ""
+    cells[rng.random(prices.shape) < 0.02] = "-1"
+    lines = ["date," + ",".join(f"T{j}" for j in range(6))]
+    lines += [f"{10000 + t}," + ",".join(map(str, row)) for t, row in enumerate(cells)]
+    f = tmp_path / "p.csv"
+    f.write_text("\n".join(lines) + "\n")
+    series, report = load_prices_csv(f)
+    ref_series, ref_drops = reference_load_prices_csv(f)
+    assert report.drop_counts == ref_drops and sum(ref_drops.values()) > 0
+    for t, (stamps, px) in ref_series.items():
+        assert series[t].timestamps == stamps
+        assert series[t].prices.tobytes() == px.tobytes()
+
+
+def test_loader_rejects_duplicate_price_column(tmp_path):
+    # the reference counted such a column twice and failed on repeated dates
+    f = tmp_path / "p.csv"
+    f.write_text("date,A,B,A\nd1,1,5,10\nd2,2,6,20\n")
+    with pytest.raises(ValueError, match=r"p\.csv: duplicate price column 'A'"):
+        load_prices_csv(f)
+
+
+def test_loader_keeps_each_tickers_valid_dates(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("date,A,B,C\nd1,1,2,3\nd2,2,,4\nd3,3,4,5\n")
+    series, _ = load_prices_csv(f)
+    assert series["A"].timestamps == series["C"].timestamps == ("d1", "d2", "d3")
+    assert series["B"].timestamps == ("d1", "d3")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("date,A\n2020-01-01,1\n\n\n2020-01-03,2\n2020-01-02,3\n",
+         ":6: dates not strictly increasing ('2020-01-02' after '2020-01-03')"),
+        ("date,A\n\n2020-01-01,1\n\n,2\n", ":5: empty date"),
+        ('date,A\n2020-01-02,"1\n"\n2020-01-01,2\n', ":4: dates not strictly increasing"),
+    ],
+    ids=["blank_lines", "blank_lines_then_empty_date", "multiline_quoted_cell"],
+)
+def test_date_errors_name_the_physical_line(tmp_path, text, message):
+    f = tmp_path / "p.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_prices_csv(f)
+    assert str(info.value).startswith(f"{f}{message}")
+
+
+@pytest.mark.parametrize("second_read", ["shortened", "unreadable"])
+def test_date_error_line_falls_back_when_reread_fails(tmp_path, monkeypatch, second_read):
+    f = tmp_path / "p.csv"
+    f.write_text("date,A\n\n2020-01-02,1\n2020-01-01,2\n")
+    opened = []
+
+    def open_once(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 1:
+            return open(path, *args, **kwargs)
+        if second_read == "unreadable":
+            raise OSError("gone")
+        return io.StringIO("date,A\n")
+
+    monkeypatch.setattr(market_data, "open", open_once, raising=False)
+    with pytest.raises(ValueError) as info:
+        load_prices_csv(f)
+    # row 2 of the first read; the blank line can no longer be counted
+    assert str(info.value) == (
+        f"{f}:3: dates not strictly increasing ('2020-01-01' after '2020-01-02')"
+    )
+    assert len(opened) == 2
+
+
 # --- domain type validation ---
 
 
@@ -110,6 +332,11 @@ def test_price_series_rejects_short():
 def test_price_series_rejects_unsorted_dates():
     with pytest.raises(ValueError, match="strictly increasing"):
         PriceSeries("X", ["2020-01-02", "2020-01-01"], np.array([1.0, 2.0]))
+
+
+def test_price_series_names_the_first_unsorted_date():
+    with pytest.raises(ValueError, match="X: timestamps not strictly increasing at 'd2'"):
+        PriceSeries("X", ["d1", "d3", "d2", "d2"], np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 def test_panel_rejects_shape_mismatch():
@@ -229,6 +456,26 @@ def test_alignment_intersects_dates():
     assert tickers == ("A", "B")
     assert matrix.shape == (3, 2)
     assert np.allclose(matrix[:, 0], [2, 3, 4])
+
+
+@pytest.mark.parametrize("drops", [0, 5], ids=["equal_dates", "dropped_dates"])
+def test_alignment_matches_dict_lookup(drops):
+    rng = np.random.default_rng(3)
+    stamps = [f"d{t:03d}" for t in range(50)]
+    series = []
+    for j in range(4):
+        keep = np.sort(rng.choice(50, size=50 - drops, replace=False))
+        series.append(PriceSeries(f"T{j}", [stamps[k] for k in keep], np.exp(rng.standard_normal(keep.size))))
+    dates, tickers, matrix = align_series(series)
+    assert dates == tuple(sorted(set.intersection(*(set(s.timestamps) for s in series))))
+    assert len(dates) <= 50 - drops
+    assert tickers == ("T0", "T1", "T2", "T3")
+    expected = np.empty((len(dates), 4))
+    for j, s in enumerate(series):
+        lookup = dict(zip(s.timestamps, s.prices))
+        expected[:, j] = [lookup[d] for d in dates]
+    assert matrix.tobytes() == expected.tobytes()
+    assert matrix.flags.c_contiguous
 
 
 def test_returns_panel_from_series():
