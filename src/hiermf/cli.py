@@ -135,9 +135,12 @@ def _load_panel(args, config: dict, min_rows: int) -> tuple[ReturnsPanel, dict]:
     )
     try:
         series, report = load_prices_csv(data, schema)
-        panel = returns_panel(series)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    try:
+        panel = returns_panel(series)
+    except ValueError as exc:  # alignment errors do not know the file
+        raise UsageError(f"{data}: {exc}") from exc
     if panel.n_times < min_rows:
         message = f"{data}: {panel.n_times} aligned returns, need at least {min_rows}"
         worst = max(report.drop_counts, key=report.drop_counts.get)

@@ -217,6 +217,17 @@ def linkage_cluster(
     Cluster ids run 0..N-1 for leaves (label order) and N..2N-2 for merges in
     creation order; equal-distance candidates merge the lexicographically
     smallest id pair, so identical inputs always yield the identical tree.
+    The tree is built from the upper triangle of `distances`; the lower one is
+    only checked against it (`np.allclose`, atol 1e-12).
+
+    Every active cluster caches its nearest active neighbour, the smallest id
+    among equals: the cached row minima of Müllner 2011 (arXiv:1109.2378),
+    kept over all ids rather than larger ones only. A merge takes the smallest
+    id with the smallest cached distance and its neighbour, which is the
+    smallest id pair at the global minimum. It then rescans only the rows
+    whose neighbour was merged away or that the new cluster beats strictly
+    (the new id is the largest, so it loses ties). Memory is O(N^2); each
+    merge is O(N) numpy work plus those rescans.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"method must be one of {LINKAGE_METHODS}")
@@ -231,46 +242,59 @@ def linkage_cluster(
     if n < 2:
         raise ValueError("need at least 2 items")
 
+    # Row a of `big` holds the distances from cluster a, mirrored from the
+    # upper triangle; dead clusters, a's own entry and ids not yet created
+    # read inf, so a row's argmin is its nearest active neighbour.
     total = 2 * n - 1
     big = np.full((total, total), np.inf)
-    big[:n, :n] = d
+    leaf_block = big[:n, :n]
+    leaf_block[...] = d
+    np.copyto(leaf_block, d.T, where=np.tri(n, k=-1, dtype=bool))
     np.fill_diagonal(big, np.inf)
-    active = np.zeros(total, dtype=bool)
-    active[:n] = True
-    sizes = np.ones(total, dtype=int)
+    rank = np.arange(total)
+    nn = np.full(total, total)  # id `total` is a sentinel that is never dead
+    nn[:n] = big[:n].argmin(axis=1)
+    nnd = np.full(total, np.inf)
+    nnd[:n] = big[rank[:n], nn[:n]]
+    dead = np.zeros(total + 1, dtype=bool)
+    sizes = [1.0] * total
     members: list[int | str] = list(labels) + [0] * (n - 1)
 
     nodes: list[TreeNode] = []
-    for step in range(n - 1):
-        flat = np.argmin(big)
-        i, j = divmod(int(flat), total)
-        if i > j:  # argmin scans row-major, so (i, j) is already the smallest pair
-            i, j = j, i
-        height = big[i, j]
-        new = n + step
+    for new in range(n, total):
+        i = int(nnd.argmin())
+        j = int(nn[i])
         nodes.append(
-            TreeNode(id=new, left=members[i], right=members[j], height=float(height))
+            TreeNode(id=new, left=members[i], right=members[j], height=float(nnd[i]))
         )
         members[new] = new
 
-        others = active.copy()
-        others[i] = others[j] = False
-        idx = np.flatnonzero(others)
+        merged = big[new]
         if method == "single":
-            merged = np.minimum(big[i, idx], big[j, idx])
+            np.minimum(big[i], big[j], out=merged)
         elif method == "complete":
-            merged = np.maximum(big[i, idx], big[j, idx])
-        else:
-            merged = (sizes[i] * big[i, idx] + sizes[j] * big[j, idx]) / (sizes[i] + sizes[j])
-        big[new, idx] = merged
-        big[idx, new] = merged
-        sizes[new] = sizes[i] + sizes[j]
-        big[i, :] = np.inf
-        big[:, i] = np.inf
-        big[j, :] = np.inf
-        big[:, j] = np.inf
-        active[i] = active[j] = False
-        active[new] = True
+            np.maximum(big[i], big[j], out=merged)
+        else:  # (si * d_i + sj * d_j) / (si + sj), evaluated in that order
+            si, sj = sizes[i], sizes[j]
+            np.multiply(big[i], si, out=merged)
+            merged += sj * big[j]
+            merged /= si + sj
+            sizes[new] = si + sj
+        merged[i] = merged[j] = np.inf
+        # rows above `new` are rebuilt whole when their cluster is created
+        big[:new, new] = merged[:new]
+        big[:new, i] = np.inf
+        big[:new, j] = np.inf
+        dead[i] = dead[j] = True
+        nnd[i] = nnd[j] = np.inf
+        nn[i] = nn[j] = total
+        nn[new] = i  # marks the new row for its first scan
+
+        stale = (dead.take(nn) | (merged < nnd)).nonzero()[0]
+        rows = big.take(stale, axis=0)
+        nearest = rows.argmin(axis=1)
+        nn[stale] = nearest
+        nnd[stale] = rows[rank[: stale.size], nearest]
 
     return Dendrogram(leaves=tuple(labels), nodes=tuple(nodes), root=2 * n - 2)
 

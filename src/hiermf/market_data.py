@@ -335,7 +335,16 @@ def align_series(series: Sequence[PriceSeries]) -> tuple[tuple[str, ...], tuple[
         raise ValueError("no series to align")
     common = set(series[0].timestamps).intersection(*(s.timestamps for s in series[1:]))
     if len(common) < 2:
-        raise ValueError("fewer than 2 common dates across tickers")
+        # every series has at least 2 dates, so some later ticker shrinks the running set
+        running = set(series[0].timestamps)
+        for s in series[1:]:
+            running.intersection_update(s.timestamps)
+            if len(running) < 2:
+                break
+        raise ValueError(
+            f"fewer than 2 common dates across tickers; ticker {s.ticker!r} ({len(s)} dates) "
+            f"leaves {len(running)} in common with the tickers before it"
+        )
     # every index is strictly increasing, so filtering any of them keeps date order
     dates = tuple(filter(common.__contains__, series[0].timestamps))
     tickers = tuple(s.ticker for s in series)

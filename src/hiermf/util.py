@@ -24,11 +24,13 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int = 1) 
     """Map preserving order, optionally across processes.
 
     `fn` must be picklable (module-level) when jobs > 1. Results are ordered
-    by input position, never by completion time.
+    by input position, never by completion time. At most
+    min(jobs, len(items), os.cpu_count()) workers are started.
     """
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

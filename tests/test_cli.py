@@ -271,6 +271,18 @@ def test_too_few_aligned_rows_names_file_and_ticker(tmp_path, capsys, command, f
     )
 
 
+@pytest.mark.parametrize("command", ["analyze", "rolling"])
+def test_disjoint_dates_name_file_and_ticker(tmp_path, capsys, command):
+    # A trades only on the first two rows and B only on the last two
+    data = tmp_path / "few.csv"
+    data.write_text("date,A,B\n1,10.0,\n2,11.0,\n3,,20.0\n4,,21.0\n")
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: fewer than 2 common dates across tickers; "
+        "ticker 'B' (2 dates) leaves 0 in common with the tickers before it\n"
+    )
+
+
 def test_short_panel_without_drops_reports_row_count(tmp_path, capsys):
     data = tmp_path / "prices.csv"
     write_price_csv(data, n_assets=4, length=150)

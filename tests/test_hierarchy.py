@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import squareform
 
-from hiermf.dependence import flat_weights
+from hiermf import hierarchy
+from hiermf.dependence import corr_to_distance, flat_weights, weighted_pearson_matrix
 from hiermf.hierarchy import (
     Dendrogram,
     DendrogramFormatError,
@@ -103,6 +107,177 @@ def test_monotone_transform_invariance_single_complete():
             base = merge_leaf_sets(linkage_cluster(d, labels, method))
             for f in transforms:
                 assert merge_leaf_sets(linkage_cluster(f(d), labels, method)) == base
+
+
+# --- linkage oracles ---
+
+
+def reference_linkage_cluster(distances, labels, method="average"):
+    """The former O(N^3) loop: a global argmin over the dense (2N-1)^2 matrix per merge."""
+    d = np.asarray(distances, dtype=float)
+    n = len(labels)
+    total = 2 * n - 1
+    big = np.full((total, total), np.inf)
+    big[:n, :n] = d
+    np.fill_diagonal(big, np.inf)
+    active = np.zeros(total, dtype=bool)
+    active[:n] = True
+    sizes = np.ones(total, dtype=int)
+    members = list(labels) + [0] * (n - 1)
+
+    nodes = []
+    for step in range(n - 1):
+        flat = np.argmin(big)
+        i, j = divmod(int(flat), total)
+        if i > j:  # argmin scans row-major, so (i, j) is already the smallest pair
+            i, j = j, i
+        height = big[i, j]
+        new = n + step
+        nodes.append(
+            TreeNode(id=new, left=members[i], right=members[j], height=float(height))
+        )
+        members[new] = new
+
+        others = active.copy()
+        others[i] = others[j] = False
+        idx = np.flatnonzero(others)
+        if method == "single":
+            merged = np.minimum(big[i, idx], big[j, idx])
+        elif method == "complete":
+            merged = np.maximum(big[i, idx], big[j, idx])
+        else:
+            merged = (sizes[i] * big[i, idx] + sizes[j] * big[j, idx]) / (sizes[i] + sizes[j])
+        big[new, idx] = merged
+        big[idx, new] = merged
+        sizes[new] = sizes[i] + sizes[j]
+        big[i, :] = np.inf
+        big[:, i] = np.inf
+        big[j, :] = np.inf
+        big[:, j] = np.inf
+        active[i] = active[j] = False
+        active[new] = True
+
+    return Dendrogram(leaves=tuple(labels), nodes=tuple(nodes), root=2 * n - 2)
+
+
+METHODS = ("single", "average", "complete")
+
+
+def tied_integer_distances(rng, n, levels):
+    """Symmetric distances drawn from `levels` integers: many exact ties, zeros included."""
+    upper = np.triu(rng.integers(0, levels, size=(n, n)).astype(float), 1)
+    return upper + upper.T
+
+
+def euclidean_distances(rng, n, dim=3):
+    points = rng.standard_normal((n, dim))
+    return np.sqrt(((points[:, None] - points[None, :]) ** 2).sum(-1))
+
+
+def correlation_distances(rng, n, length=300, factors=5):
+    returns = rng.standard_normal((length, factors)) @ rng.standard_normal((factors, n))
+    returns += rng.standard_normal((length, n))
+    panel = ReturnsPanel(
+        assets=tuple(f"a{i}" for i in range(n)), times=tuple(range(length)), values=returns
+    )
+    return corr_to_distance(weighted_pearson_matrix(panel, flat_weights(length)))
+
+
+def assert_same_tree(d, labels, method):
+    # TreeNode equality compares heights with ==, so they must be bitwise equal
+    assert linkage_cluster(d, labels, method).nodes == reference_linkage_cluster(d, labels, method).nodes
+
+
+def test_linkage_matches_reference_on_tied_integers():
+    rng = np.random.default_rng(20)
+    for n in range(2, 81):
+        labels = [f"x{i}" for i in range(n)]
+        for levels in (2, 3, 8):
+            d = tied_integer_distances(rng, n, levels)
+            for method in METHODS:
+                assert_same_tree(d, labels, method)
+
+
+def test_linkage_matches_reference_on_points():
+    rng = np.random.default_rng(21)
+    for n in range(2, 81, 3):
+        labels = [f"p{i}" for i in range(n)]
+        d = euclidean_distances(rng, n)
+        for method in METHODS:
+            assert_same_tree(d, labels, method)
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_linkage_matches_reference_on_correlation_distances(n):
+    d = correlation_distances(np.random.default_rng(n), n)
+    labels = [f"a{i}" for i in range(n)]
+    for method in METHODS:
+        assert_same_tree(d, labels, method)
+
+
+@given(st.integers(2, 24), st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from(METHODS))
+@settings(max_examples=150, deadline=None)
+def test_linkage_matches_reference_property(n, levels, seed, method):
+    d = tied_integer_distances(np.random.default_rng(seed), n, levels)
+    assert_same_tree(d, [f"x{i}" for i in range(n)], method)
+
+
+def test_average_linkage_follows_rounding_below_the_cached_minimum():
+    # a is x from b, I and every J leaf, and b has the smaller id, so a caches b.
+    # Merging I (1 leaf) with J (4 leaves) gives (x + 4x) / 5, one ulp below x:
+    # the new cluster must take over a's cache, so a stays the left child.
+    x = 1.623573099564785
+    assert (1 * x + 4 * x) / 5 < x
+    d = np.full((7, 7), 5.0)
+    d[0, 1:] = x
+    d[2, 3:] = 0.3
+    d[3, 4] = d[5, 6] = 0.1
+    d[3, 5:] = d[4, 5:] = 0.2
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    labels = ["a", "b", "I", "j1", "j2", "j3", "j4"]
+    assert_same_tree(d, labels, "average")
+    assert linkage_cluster(d, labels, "average").nodes[4] == TreeNode(11, "a", 10, (x + 4 * x) / 5)
+
+
+def test_linkage_matches_scipy_without_ties():
+    # scipy breaks ties its own way, so it is an oracle on tie-free inputs only
+    rng = np.random.default_rng(22)
+    for trial in range(30):
+        n = int(rng.integers(2, 60))
+        d = euclidean_distances(rng, n)
+        labels = [f"p{i}" for i in range(n)]
+        for method in METHODS:
+            tree = linkage_cluster(d, labels, method)
+            z = scipy_linkage(squareform(d, checks=False), method)
+            leaf_sets = [{i} for i in range(n)]
+            for a, b, height, _ in z:
+                leaf_sets.append(leaf_sets[int(a)] | leaf_sets[int(b)])
+            expected = [frozenset(labels[i] for i in s) for s in leaf_sets[n:]]
+            assert merge_leaf_sets(tree) == expected
+            heights = np.array([node.height for node in tree.nodes])
+            np.testing.assert_allclose(heights, z[:, 2], rtol=0, atol=1e-12)
+
+
+def test_linkage_reads_the_upper_triangle():
+    # the lower triangle is only checked to 1e-12; a smaller asymmetry there
+    # must not steer the tie rule (the former full-matrix argmin let it)
+    d = np.ones((3, 3)) - np.eye(3)
+    d[2, 0] -= 1e-13
+    mirrored = np.triu(d, 1) + np.triu(d, 1).T
+    labels = ["x", "y", "z"]
+    for method in METHODS:
+        tree = linkage_cluster(d, labels, method)
+        assert tree.nodes == linkage_cluster(mirrored, labels, method).nodes
+        assert merge_leaf_sets(tree)[0] == frozenset("xy")
+        assert merge_leaf_sets(reference_linkage_cluster(d, labels, method))[0] == frozenset("xz")
+    rng = np.random.default_rng(23)
+    for n in range(3, 40):
+        d = tied_integer_distances(rng, n, 3)
+        noisy = d + 1e-13 * np.tril(rng.choice([-1.0, 1.0], size=(n, n)), -1)
+        mirrored = np.triu(noisy, 1) + np.triu(noisy, 1).T
+        labels = [f"x{i}" for i in range(n)]
+        for method in METHODS:
+            assert linkage_cluster(noisy, labels, method).nodes == linkage_cluster(mirrored, labels, method).nodes
 
 
 # --- paths and orders ---
@@ -305,6 +480,15 @@ def test_bootstrap_deterministic():
     a = bootstrap_orders(panel, **kwargs)
     b = bootstrap_orders(panel, **kwargs)
     assert a == b
+
+
+def test_bootstrap_unchanged_under_reference_linkage(monkeypatch):
+    rng = np.random.default_rng(13)
+    panel = block_panel(rng, n_per_block=5, length=200)
+    kwargs = dict(scheme=flat_weights(200), method="average", resamples=50, seed=17)
+    report = bootstrap_orders(panel, **kwargs)
+    monkeypatch.setattr(hierarchy, "linkage_cluster", reference_linkage_cluster)
+    assert bootstrap_orders(panel, **kwargs) == report
 
 
 def test_bootstrap_redraws_degenerate_resamples():

@@ -1,0 +1,51 @@
+import pytest
+
+from hiermf import util
+from hiermf.util import parallel_map
+
+
+def square(x):
+    return x * x
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def executor(monkeypatch):
+    RecordingExecutor.started = []
+    monkeypatch.setattr(util, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 4)
+    return RecordingExecutor
+
+
+@pytest.mark.parametrize(
+    "jobs, n_items, workers",
+    [(1000, 10, 4), (3, 10, 3), (8, 2, 2), (8, 1, None), (1, 10, None), (0, 10, None)],
+)
+def test_worker_count_is_clamped(executor, jobs, n_items, workers):
+    items = list(range(n_items))
+    assert parallel_map(square, items, jobs=jobs) == [x * x for x in items]
+    assert executor.started == ([] if workers is None else [workers])
+
+
+def test_unknown_cpu_count_runs_in_process(executor, monkeypatch):
+    monkeypatch.setattr(util.os, "cpu_count", lambda: None)
+    assert parallel_map(square, range(5), jobs=8) == [0, 1, 4, 9, 16]
+    assert executor.started == []
+
