@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 MAX_CLIPPED_EIGENVALUE_MASS = 0.01
+# rows of noise and of the risk factor built at a time in simulate_returns
+BLOCK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -172,32 +174,49 @@ class Activations:
 
 
 def sample_activations(tree: RiskTree, length: int, seed_or_rng) -> Activations:
-    """Independent K[m, t] ~ Bernoulli(p_m) across nodes and times."""
+    """Independent K[m, t] ~ Bernoulli(p_m) across nodes and times.
+
+    Drawn one node row at a time straight into uint8; the generator fills
+    arrays in C order, so this is the same stream as one (nodes, length) draw.
+    """
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
     ids = tree.node_ids
-    probs = np.array([tree.probability(i) for i in ids])
-    draws = (rng.random((len(ids), length)) < probs[:, None]).astype(np.uint8)
+    draws = np.empty((len(ids), length), dtype=np.uint8)
+    for k, node_id in enumerate(ids):
+        np.less(rng.random(length), tree.probability(node_id), out=draws[k])
     return Activations(node_ids=ids, values=draws)
 
 
 def hierarchical_factor(tree: RiskTree, activations: Activations, leaf: str, t: int) -> float:
     """Y[leaf, t] = exp(number of active path risks at t)."""
-    return float(_leaf_factors(tree, activations, (leaf,))[t, 0])
+    paths = _leaf_paths(tree, activations.node_ids, (leaf,))
+    return float(_risk_factors(paths, activations.values[:, [t]])[0, 0])
 
 
-def _leaf_factors(tree: RiskTree, activations: Activations, leaves: Sequence[str]) -> np.ndarray:
-    """Y as a (length, n_leaves) array; exp of per-time active-ancestor counts."""
-    index = {node_id: k for k, node_id in enumerate(activations.node_ids)}
-    length = activations.values.shape[1]
-    counts = np.zeros((len(leaves), length), dtype=np.int64)
-    for j, leaf in enumerate(leaves):
-        for node_id in leaf_path(tree.tree, leaf).node_ids:
-            counts[j] += activations.values[index[node_id]]
-    return np.exp(counts.T.astype(float))
+def _leaf_paths(tree: RiskTree, node_ids: Sequence[int], leaves: Sequence[str]) -> list[list[int]]:
+    """Per leaf, the activation rows (positions in `node_ids`) of its ancestors."""
+    index = {node_id: k for k, node_id in enumerate(node_ids)}
+    return [[index[i] for i in leaf_path(tree.tree, leaf).node_ids] for leaf in leaves]
+
+
+def _risk_factors(paths: Sequence[Sequence[int]], values: np.ndarray) -> np.ndarray:
+    """Y as a (times, leaves) array for the activation columns in `values`.
+
+    Counts each leaf's active ancestors in the narrowest type that holds its
+    depth (uint8 for uint8 activations up to depth 255), then reads
+    exp(count) from a table.
+    """
+    depth = max(map(len, paths))
+    dtype = np.promote_types(np.min_scalar_type(depth), values.dtype)
+    counts = np.zeros((len(paths), values.shape[1]), dtype=dtype)
+    for j, path in enumerate(paths):
+        for k in path:
+            counts[j] += values[k]
+    return np.exp(np.arange(depth + 1, dtype=float))[counts.T]
 
 
 @dataclass(frozen=True)
@@ -263,25 +282,41 @@ def _noise_transform(noise: CorrelationMatrix) -> np.ndarray:
     return a / scale[:, None]
 
 
+def _row_blocks(length: int) -> list[tuple[int, int]]:
+    """[start, stop) blocks of BLOCK_ROWS rows covering `length`.
+
+    A 1-row tail joins the block before it: BLAS multiplies a single row by a
+    matrix-vector kernel whose rounding differs from the matrix-matrix one.
+    """
+    starts = list(range(0, length, BLOCK_ROWS))
+    if len(starts) > 1 and length - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], length]))
+
+
 def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     """Sample the model: r = eps * x * Y with eps and x continued across regimes.
 
     The tree (and so Y) switches per regime; eps and x are single stationary
     paths over the whole length, so only the risk layout changes at a
-    boundary.
+    boundary. Noise and Y are built in row blocks, so memory beyond the
+    returned arrays stays at about one block.
     """
     assets = spec.noise.assets
-    eps_rng = derived_rng(spec.seed, 0)
-    z = eps_rng.standard_normal((spec.length, len(assets)))
-    epsilon = z @ _noise_transform(spec.noise)
-
+    # x first: the circulant draw's temporaries are freed before the outputs exist
     if spec.logvol is None:
         xi = np.zeros(spec.length)
     else:
         xi = _xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
     x = np.exp(xi)
 
+    transform = _noise_transform(spec.noise)
+    eps_rng = derived_rng(spec.seed, 0)
+    epsilon = np.empty((spec.length, len(assets)))
+    for a, b in _row_blocks(spec.length):
+        np.matmul(eps_rng.standard_normal((b - a, len(assets))), transform, out=epsilon[a:b])
     values = epsilon * x[:, None]
+
     activations = []
     starts = []
     t0 = 0
@@ -289,7 +324,9 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
         acts = sample_activations(regime.tree, regime.duration, derived_rng(spec.seed, 2, k))
         activations.append(acts)
         starts.append(t0)
-        values[t0 : t0 + regime.duration] *= _leaf_factors(regime.tree, acts, assets)
+        paths = _leaf_paths(regime.tree, acts.node_ids, assets)
+        for a, b in _row_blocks(regime.duration):
+            values[t0 + a : t0 + b] *= _risk_factors(paths, acts.values[:, a:b])
         t0 += regime.duration
 
     panel = ReturnsPanel(assets=assets, times=tuple(range(spec.length)), values=values, scale=1)

@@ -181,6 +181,14 @@ class LoadReport:
         }
 
 
+def _decoded_lines(fh, path: Path):
+    """Lines of the open text file `fh`; a decoding error names the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+
+
 def load_prices_csv(
     path: str | Path, schema: CsvSchema | None = None
 ) -> tuple[dict[str, PriceSeries], LoadReport]:
@@ -204,7 +212,7 @@ def load_prices_csv(
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(_decoded_lines(fh, path), delimiter=schema.delimiter)
         header = next(reader, None)
         if header is None or schema.date_column not in header:
             raise ValueError(f"{path}: missing date column {schema.date_column!r}")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
@@ -55,13 +57,30 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+_NUMBER_TYPES = frozenset((int, float))
+_NEEDS_QUOTES = re.compile(r'[",\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """csv's minimal quoting: a cell holding a comma, a quote or a line break is quoted."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Plain CSV writer with round-trip float formatting (byte-stable by content)."""
+    """CSV with "\n" line ends and round-trip floats (byte-stable by content).
+
+    A cell holding a comma, a quote or a line break is quoted, as csv's
+    minimal quoting does, so csv.reader reads every row back whole.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                format_float(c) if isinstance(c, (float, np.floating)) else str(c)
-                for c in row
-            ]
+        for row in itertools.chain([header], rows):
+            if _NUMBER_TYPES.issuperset(map(type, row)):
+                cells = map(repr, row)  # repr of a Python int or float is already its cell
+            else:
+                cells = [
+                    format_float(c) if isinstance(c, (float, np.floating)) else _quoted(str(c))
+                    for c in row
+                ]
             fh.write(",".join(cells) + "\n")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -5,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hiermf.cli import main
+from hiermf import cli
+from hiermf.cli import check_equivalence, main
 from hiermf.dhm import RiskTree, simulate_returns, DhmSpec, Regime, LogVolSpec
 from hiermf.dependence import CorrelationMatrix
 from hiermf.hierarchy import comb_tree, random_binary_tree, serialize_dendrogram
@@ -195,6 +197,30 @@ def test_analyze_pipeline(tmp_path):
     assert (out / "tree.json").exists()
     meta = json.loads((out / "correlation.meta.json").read_text())
     assert meta["theta"] == pytest.approx(599 / 3, rel=1e-9)
+
+
+def test_analyze_quotes_a_ticker_that_holds_a_comma(tmp_path):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    text = data.read_text()
+    data.write_text(text.replace("date,T0,", 'date,"X,Y",', 1))
+    out = tmp_path / "out"
+    rc = main(["analyze", "--data", str(data), "--threshold", "0", "--out", str(out)])
+    assert rc == 0
+    for name, width in (("per_asset.csv", 8), ("orders.csv", 2)):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [width] * 6, name
+        assert sorted(row[0] for row in rows[1:]) == ["T1", "T2", "T3", "T4", "X,Y"]
+
+
+def test_non_utf8_price_file_names_the_file(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    data.write_bytes(b"date,A,B\n2020-01-01,100,\xff\n")
+    rc = main(["analyze", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "utf-8" in err
 
 
 def test_analyze_threshold_filters_everything(tmp_path):
@@ -458,6 +484,40 @@ def test_validate_model_zero_tolerance_fails(tmp_path):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "flags, config, named",
+    [
+        (["--steps", "1"], {}, "--steps"),
+        (["--steps", "0"], {}, "--steps"),
+        (["--trees", "0"], {}, "--trees"),
+        ([], {"steps": 1}, "config key 'steps'"),
+        ([], {"dispersion-seeds": 0}, "config key 'dispersion-seeds'"),
+    ],
+)
+def test_validate_model_rejects_empty_runs_before_simulating(
+    tmp_path, capsys, monkeypatch, flags, config, named
+):
+    def no_simulation(spec):
+        raise AssertionError("simulated before the settings were checked")
+
+    monkeypatch.setattr(cli.dhm_mod, "simulate_returns", no_simulation)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["validate-model", "--config", str(path), *flags, "--out", str(out)])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "validation.json").exists()
+
+
+def test_equivalence_check_fails_when_the_deviation_is_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = check_equivalence(n_trees=2, steps=1, seed=0, tolerance=0.5)
+    assert math.isnan(report["max_abs_deviation"])
+    assert report["passed"] is False
+
+
 # --- argument handling ---
 
 
@@ -467,3 +527,11 @@ def test_unknown_command_is_usage_error():
 
 def test_bad_flag_is_usage_error():
     assert main(["calibrate", "--no-such-flag", "1"]) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    rc = main(["calibrate", "--count", "10", "--length", "400", "--jobs", jobs,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "--jobs" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import equicorrelation, one_factor_correlation
+from hiermf import dhm
 from hiermf.dependence import CorrelationMatrix
 from hiermf.dhm import (
+    BLOCK_ROWS,
     Activations,
     DhmSpec,
     LogVolSpec,
@@ -27,7 +30,7 @@ from hiermf.dhm import (
     zeta1,
     zeta2,
 )
-from hiermf.hierarchy import comb_tree, order_profile, random_binary_tree, serialize_dendrogram
+from hiermf.hierarchy import comb_tree, leaf_path, order_profile, random_binary_tree, serialize_dendrogram
 from hiermf.scaling import _circulant_sample
 from hiermf.util import derived_rng
 
@@ -414,6 +417,154 @@ def test_median_correlation_shift():
         corr = np.corrcoef(simulate_returns(spec).returns.values.T)
         medians[tag] = np.median(corr[np.triu_indices(12, 1)])
     assert medians["hier"] < medians["flat"]
+
+
+# --- the block simulator against the whole-array oracle ---
+
+
+def reference_sample_activations(tree, length, rng):
+    """The (nodes, length) float64 draw that sample_activations replaced.
+
+    Kept only as the oracle for the row-at-a-time uint8 draw.
+    """
+    ids = tree.node_ids
+    probs = np.array([tree.probability(i) for i in ids])
+    draws = (rng.random((len(ids), length)) < probs[:, None]).astype(np.uint8)
+    return Activations(node_ids=ids, values=draws)
+
+
+def reference_leaf_factors(tree, activations, leaves):
+    """Y as a (length, n_leaves) array; exp of per-time active-ancestor counts."""
+    index = {node_id: k for k, node_id in enumerate(activations.node_ids)}
+    length = activations.values.shape[1]
+    counts = np.zeros((len(leaves), length), dtype=np.int64)
+    for j, leaf in enumerate(leaves):
+        for node_id in leaf_path(tree.tree, leaf).node_ids:
+            counts[j] += activations.values[index[node_id]]
+    return np.exp(counts.T.astype(float))
+
+
+def reference_simulate_returns(spec):
+    """The whole-array simulator that simulate_returns replaced.
+
+    Kept only as the oracle for the block simulator. Returns
+    (returns, epsilon, x, xi, activation arrays).
+    """
+    assets = spec.noise.assets
+    z = derived_rng(spec.seed, 0).standard_normal((spec.length, len(assets)))
+    epsilon = z @ dhm._noise_transform(spec.noise)
+    if spec.logvol is None:
+        xi = np.zeros(spec.length)
+    else:
+        xi = dhm._xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
+    x = np.exp(xi)
+    values = epsilon * x[:, None]
+    activations = []
+    t0 = 0
+    for k, regime in enumerate(spec.regimes):
+        acts = reference_sample_activations(regime.tree, regime.duration, derived_rng(spec.seed, 2, k))
+        activations.append(acts.values)
+        values[t0 : t0 + regime.duration] *= reference_leaf_factors(regime.tree, acts, assets)
+        t0 += regime.duration
+    return values, epsilon, x, xi, activations
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def oracle_spec(length, n_regimes, logvol, n_leaves=6, seed=0):
+    """Regimes of unequal length on fresh random trees; boundaries miss the block grid."""
+    rng = derived_rng(seed, length, n_regimes)
+    labels = [f"A{i}" for i in range(n_leaves)]
+    cuts = [
+        min(length * (k + 1) // n_regimes + 7, length - (n_regimes - 1 - k))
+        for k in range(n_regimes - 1)
+    ]
+    bounds = [0, *cuts, length]
+    regimes = tuple(
+        Regime(
+            tree=draw_probabilities(random_binary_tree(n_leaves, rng, labels), 0.05, 0.95, rng),
+            duration=b - a,
+        )
+        for a, b in zip(bounds, bounds[1:])
+    )
+    return DhmSpec(
+        noise=one_factor_correlation(labels, rng),
+        regimes=regimes,
+        logvol=LogVolSpec() if logvol else None,
+        length=length,
+        seed=int(rng.integers(0, 2**63)),
+    )
+
+
+B = BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "length, n_regimes, logvol",
+    [
+        (1, 1, False),
+        (2, 2, False),
+        (2, 1, True),
+        (B - 1, 3, True),
+        (B, 2, False),
+        (B + 1, 1, True),  # a 1-row tail would go through BLAS gemv
+        (B + 1, 3, False),
+        (B + 2, 2, True),
+        (2 * B - 1, 1, False),
+        (2 * B, 3, True),
+        (2 * B + 1, 2, True),
+    ],
+)
+def test_block_simulator_is_bitwise_equal_to_oracle(length, n_regimes, logvol):
+    spec = oracle_spec(length, n_regimes, logvol)
+    out = simulate_returns(spec)
+    values, epsilon, x, xi, activations = reference_simulate_returns(spec)
+    assert_bitwise(out.returns.values, values)
+    assert_bitwise(out.epsilon, epsilon)
+    assert_bitwise(out.x, x)
+    assert_bitwise(out.xi, xi)
+    assert len(out.activations) == len(activations)
+    for acts, expected in zip(out.activations, activations):
+        assert_bitwise(acts.values, expected)
+
+
+def test_row_blocks_never_leave_a_single_row():
+    for length in (1, 2, B - 1, B, B + 1, B + 2, 3 * B + 1):
+        blocks = dhm._row_blocks(length)
+        assert blocks[0][0] == 0 and blocks[-1][1] == length
+        assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+        assert all(b - a >= 2 for a, b in blocks) or length == 1
+
+
+def test_hierarchical_factor_matches_simulated_factor():
+    spec = oracle_spec(300, 1, False)
+    out = simulate_returns(spec)
+    tree, acts = spec.regimes[0].tree, out.activations[0]
+    for j, leaf in enumerate(spec.noise.assets):
+        for t in (0, 17, 299, -1):
+            y = hierarchical_factor(tree, acts, leaf, t)
+            assert out.epsilon[t, j] * y == out.returns.values[t, j]
+
+
+def test_simulator_peak_memory_is_output_plus_one_block():
+    """Traced peak stays within 1.2x of what the returned output retains.
+
+    The whole-array simulator peaked at over 2x: a full noise draw, int64
+    counts and float factors lived beside the two output arrays.
+    """
+    spec = oracle_spec(5 * B + 3, 2, True, n_leaves=8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = simulate_returns(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.returns.values.nbytes + out.epsilon.nbytes <= retained - base
+    assert peak - base < 1.2 * (retained - base)
 
 
 # --- probability assignment and config loading ---

@@ -1,3 +1,6 @@
+import csv
+
+import numpy as np
 import pytest
 
 from hiermf import util
@@ -49,3 +52,18 @@ def test_unknown_cpu_count_runs_in_process(executor, monkeypatch):
     assert parallel_map(square, range(5), jobs=8) == [0, 1, 4, 9, 16]
     assert executor.started == []
 
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "out.csv"
+    util.write_csv(path, ["name", "x", "k"], [
+        ["plain", 0.1, 3],
+        ['a,b "c"', np.float64(1 / 3), np.uint8(1)],
+        [np.int64(7), np.float32(0.5), True],
+        [1, 2.5, -0.0],
+    ])
+    assert path.read_bytes() == (
+        b'name,x,k\nplain,0.1,3\n"a,b ""c""",0.3333333333333333,1\n7,0.5,True\n1,2.5,-0.0\n'
+    )
+    with open(path, newline="") as fh:
+        assert [len(row) for row in csv.reader(fh)] == [3] * 5
