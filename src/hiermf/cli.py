@@ -122,10 +122,15 @@ def _count_setting(args, config: dict, name: str, default: int, minimum: int) ->
     """Integer setting that must be at least `minimum`; the error names the flag or config key."""
     value = int(_setting(args, config, name, default))
     if value < minimum:
-        given_as_flag = getattr(args, name.replace("-", "_"), None) is not None
-        source = f"--{name}" if given_as_flag else f"config key {name!r}"
-        raise UsageError(f"{source} must be >= {minimum}, got {value}")
+        raise UsageError(f"{_source(args, name)} must be >= {minimum}, got {value}")
     return value
+
+
+def _source(args, name: str) -> str:
+    """How the user set `name`: the flag when given, else the config key."""
+    if getattr(args, name.replace("-", "_"), None) is not None:
+        return f"--{name}"
+    return f"config key {name!r}"
 
 
 def _worker_count(text: str) -> int:
@@ -323,9 +328,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate requires --config pointing at a model spec")
     config = _load_config_file(args.config)
     out = _out_dir(args)
-    repeat = int(args.repeat or config.get("repeat", 1))
-    if repeat < 1:
-        raise UsageError("--repeat must be >= 1")
+    repeat = _count_setting(args, config, "repeat", 1, 1)
     base_seed = args.seed if args.seed is not None else config.get("seed")
     if base_seed is None:
         raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
@@ -413,29 +416,28 @@ def cmd_rolling(args) -> int:
     return 0
 
 
-def check_equivalence(
-    n_trees: int, steps: int, seed: int, tolerance: float, max_leaves: int = 16,
-    lam: float | None = None,
-) -> dict:
+# leaves of each median-shift and dispersion tree, and of the largest equivalence tree
+VALIDATION_LEAVES = 16
+
+
+def check_equivalence(n_trees: int, steps: int, seed: int, tolerance: float) -> dict:
     """Sample correlations vs the closed-form perturbation, over random trees.
 
-    The common volatility cancels in the correlation, so by default it stays
-    off here; pass lam to exercise the volatility-on mode.
+    The common volatility cancels in the correlation, so it stays off here.
     """
     per_tree = []
     for k in range(n_trees):
         rng = derived_rng(seed, 10, k)
-        n_leaves = int(rng.integers(4, max_leaves + 1))
+        n_leaves = int(rng.integers(4, VALIDATION_LEAVES + 1))
         labels = [f"A{i:02d}" for i in range(n_leaves)]
         tree = dhm_mod.draw_probabilities(
             random_binary_tree(n_leaves, rng, labels), 0.0, 1.0, rng
         )
         noise = one_factor_correlation(labels, rng)
-        logvol = dhm_mod.LogVolSpec(lam=lam) if lam is not None else None
         spec = dhm_mod.DhmSpec(
             noise=noise,
             regimes=(dhm_mod.Regime(tree=tree, duration=steps),),
-            logvol=logvol,
+            logvol=None,
             length=steps,
             seed=int(derived_rng(seed, 11, k).integers(0, 2**63)),
         )
@@ -473,12 +475,12 @@ def _hier_flat_returns(
     return returns
 
 
-def check_median_shift(n_runs: int, length: int, seed: int, n_leaves: int = 16) -> dict:
+def check_median_shift(n_runs: int, length: int, seed: int) -> dict:
     """Median pair correlation must drop when risks fire heterogeneously."""
-    upper = np.triu_indices(n_leaves, k=1)
+    upper = np.triu_indices(VALIDATION_LEAVES, k=1)
     shifts = []
     for k in range(n_runs):
-        returns = _hier_flat_returns(seed, 20, k, n_leaves, length, (0.1, 0.4))
+        returns = _hier_flat_returns(seed, 20, k, VALIDATION_LEAVES, length, (0.1, 0.4))
         shifts.append({
             tag: float(np.median(np.corrcoef(values.T)[upper]))
             for tag, values in returns.items()
@@ -490,19 +492,17 @@ def check_median_shift(n_runs: int, length: int, seed: int, n_leaves: int = 16) 
     }
 
 
-def check_tau_dispersion(
-    n_seeds: int, length: int, seed: int, n_leaves: int = 16, min_ratio: float = 1.0
-) -> dict:
+def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float = 1.0) -> dict:
     """(rho, tau) scatter must sit farther from the elliptical curve under hierarchy."""
     rms = {"hier": [], "flat": []}
     for k in range(n_seeds):
-        returns = _hier_flat_returns(seed, 30, k, n_leaves, length, (0.4, 0.6))
+        returns = _hier_flat_returns(seed, 30, k, VALIDATION_LEAVES, length, (0.4, 0.6))
         for tag, values in returns.items():
             corr = np.corrcoef(values.T)
             devs = [
                 kendall_tau(values[:, i], values[:, j]) - elliptical_tau(float(corr[i, j]))
-                for i in range(n_leaves)
-                for j in range(i + 1, n_leaves)
+                for i in range(VALIDATION_LEAVES)
+                for j in range(i + 1, VALIDATION_LEAVES)
             ]
             rms[tag].append(float(np.sqrt(np.mean(np.square(devs)))))
     ratio = float(np.mean(rms["hier"]) / np.mean(rms["flat"]))
@@ -521,6 +521,12 @@ def cmd_validate_model(args) -> int:
     # the default band is calibrated at 1e6 steps; scale it for shorter runs
     default_tolerance = 0.02 * max(1.0, (1_000_000 / steps) ** 0.5)
     tolerance = float(_setting(args, config, "tolerance", default_tolerance))
+    if tolerance >= 2:  # no correlation deviation exceeds 2, so no check could fail
+        name = "steps" if _setting(args, config, "tolerance") is None else "tolerance"
+        raise UsageError(
+            f"{_source(args, name)} gives a tolerance of {tolerance:g}; it must be below 2 "
+            "(the default tolerance is, from 101 steps on)"
+        )
     n_trees = _count_setting(args, config, "trees", 3, 1)
     length = int(_setting(args, config, "length", 4026))
     n_seeds = _count_setting(args, config, "dispersion-seeds", 3, 1)

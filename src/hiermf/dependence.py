@@ -16,6 +16,7 @@ import numpy as np
 from scipy import stats
 
 from hiermf.market_data import ReturnsPanel
+from hiermf.util import write_csv
 
 __all__ = [
     "WeightScheme",
@@ -178,17 +179,21 @@ def corr_to_distance(matrix: CorrelationMatrix) -> np.ndarray:
 
 def write_correlation_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
     """Labeled square CSV: header row of assets, one labeled row per asset."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["", *matrix.assets])
-        for label, row in zip(matrix.assets, matrix.values):
-            writer.writerow([label, *(repr(float(v)) for v in row)])
+    write_csv(
+        path,
+        ["", *matrix.assets],
+        ([label, *row.tolist()] for label, row in zip(matrix.assets, matrix.values)),
+    )
 
 
 def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels and values of a labeled square CSV; each row label must match its column."""
+    """Labels and values of a labeled square CSV; each row label must match its column.
+
+    Blank lines are skipped. A row with the wrong number of cells, or a cell
+    that is not a number, is an error naming the file and the row label.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = list(filter(None, csv.reader(fh)))
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: not a labeled correlation CSV")
     assets = tuple(rows[0][1:])
@@ -198,7 +203,14 @@ def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]
     for i, row in enumerate(rows[1:]):
         if row[0] != assets[i]:
             raise ValueError(f"{path}: row label {row[0]!r} does not match column {assets[i]!r}")
-        values[i] = [float(v) for v in row[1:]]
+        if len(row) != len(assets) + 1:
+            raise ValueError(
+                f"{path}: row {row[0]!r} has {len(row) - 1} values, expected {len(assets)}"
+            )
+        try:
+            values[i] = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row[0]!r}: {exc}") from None
     return assets, values
 
 

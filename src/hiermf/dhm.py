@@ -344,22 +344,23 @@ E1 = math.e - 1.0
 E2 = math.e**2 - 1.0
 
 
-def zeta1(p):
-    """First moment of exp(K) for K ~ Bernoulli(p): p(e-1) + 1."""
+def _exp_bernoulli_moment(p, e_minus_one: float):
+    """p(c - 1) + 1, the mean of exp(kK) for K ~ Bernoulli(p) and c = e^k."""
     p = np.asarray(p, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("p must lie in [0, 1]")
-    out = p * E1 + 1.0
+    out = p * e_minus_one + 1.0
     return float(out) if out.ndim == 0 else out
+
+
+def zeta1(p):
+    """First moment of exp(K) for K ~ Bernoulli(p): p(e-1) + 1."""
+    return _exp_bernoulli_moment(p, E1)
 
 
 def zeta2(p):
     """Second moment of exp(K) for K ~ Bernoulli(p): p(e^2-1) + 1."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p must lie in [0, 1]")
-    out = p * E2 + 1.0
-    return float(out) if out.ndim == 0 else out
+    return _exp_bernoulli_moment(p, E2)
 
 
 def _perturbation_matrix(tree: RiskTree, leaves: Sequence[str]) -> np.ndarray:
@@ -382,11 +383,12 @@ def _perturbation_matrix(tree: RiskTree, leaves: Sequence[str]) -> np.ndarray:
     while stack:  # pre-order, so reversed it visits children before parents
         nodes.append(tree.tree.node(stack.pop()))
         stack.extend(c for c in (nodes[-1].left, nodes[-1].right) if isinstance(c, int))
-    for node in reversed(nodes):
+    nodes.reverse()
+    p = np.array([node.p for node in nodes])
+    for node, g in zip(nodes, (zeta1(p) / np.sqrt(zeta2(p))).tolist()):
         (li, lp), (ri, rp) = below.pop(node.left, nothing), below.pop(node.right, nothing)
         f[np.ix_(li, ri)] = np.outer(lp, rp)
         f[np.ix_(ri, li)] = f[np.ix_(li, ri)].T
-        g = (node.p * E1 + 1.0) / math.sqrt(node.p * E2 + 1.0)
         below[node.id] = (np.concatenate((li, ri)), np.concatenate((lp, rp)) * g)
     return f
 
@@ -442,20 +444,16 @@ def _risk_tree_from_config(
     rng: np.random.Generator,
 ) -> RiskTree:
     """Probabilities: explicit file value, then inherited, then drawn from p_range."""
-    probs: dict[int, float] = {}
-    for node in tree.nodes:
-        if node.p is not None:
-            probs[node.id] = node.p
-        elif inherit and node.id in inherit:
-            probs[node.id] = inherit[node.id]
-        elif p_range is not None:
-            probs[node.id] = float(rng.uniform(p_range[0], p_range[1]))
-        else:
+    known = {**(inherit or {}), **{n.id: n.p for n in tree.nodes if n.p is not None}}
+    if p_range is None:
+        missing = [n.id for n in tree.nodes if n.id not in known]
+        if missing:
             raise ValueError(
-                f"node {node.id} has no probability; set 'p' in the tree file or "
+                f"node {missing[0]} has no probability; set 'p' in the tree file or "
                 "'p_range' on the regime"
             )
-    return RiskTree(tree.with_probabilities(probs))
+        p_range = (0.0, 1.0)  # every node is known, so nothing is drawn
+    return draw_probabilities(tree, *p_range, rng, inherit=known)
 
 
 def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = None) -> DhmSpec:

@@ -19,7 +19,7 @@ import numpy as np
 
 from hiermf.dependence import WeightScheme, corr_to_distance, weighted_pearson_matrix
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import derived_rng
+from hiermf.util import derived_rng, write_json_atomic
 
 __all__ = [
     "TreeNode",
@@ -455,7 +455,10 @@ def _decode_child(raw, location: str) -> int | str:
 
 
 def serialize_dendrogram(tree: Dendrogram, path: str | Path) -> None:
-    """Write the JSON interchange form (ids, heights, probabilities preserved)."""
+    """Write the JSON interchange form (ids, heights, probabilities preserved).
+
+    The file is replaced atomically and keys are sorted within each record.
+    """
     payload = {
         "leaves": list(tree.leaves),
         "nodes": [
@@ -470,9 +473,7 @@ def serialize_dendrogram(tree: Dendrogram, path: str | Path) -> None:
         ],
         "root": tree.root,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json_atomic(path, payload)
 
 
 def parse_dendrogram(path: str | Path) -> Dendrogram:

@@ -225,7 +225,12 @@ def load_prices_csv(
         if len(set(tickers)) < len(tickers):
             dup = next(t for k, t in enumerate(tickers) if t in tickers[:k])
             raise ValueError(f"{path}: duplicate price column {dup!r}")
-        rows = list(filter(None, reader))
+        # each kept row with the physical line it ends on, for error messages
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -238,7 +243,7 @@ def load_prices_csv(
     del rows
 
     dates = tuple(map(str.strip, columns[position[schema.date_column]]))
-    _check_dates(path, schema.delimiter, dates)
+    _check_dates(path, dates, lines)
 
     report = LoadReport(source=str(path), schema=schema, drop_counts={})
     series: dict[str, PriceSeries] = {}
@@ -271,44 +276,25 @@ def _parse_cell(cell: str) -> float:
         return math.nan
 
 
-def _check_dates(path: Path, delimiter: str, dates: tuple[str, ...]) -> None:
-    """Raise on the first empty or out-of-order date, naming its physical line."""
+def _check_dates(path: Path, dates: tuple[str, ...], lines: Sequence[int]) -> None:
+    """Raise on the first empty or out-of-order date, naming the physical line in `lines`."""
     if all(dates) and all(map(operator.lt, dates, dates[1:])):
         return
     for k, date in enumerate(dates):
         if not date:
-            raise ValueError(f"{path}:{_physical_line(path, delimiter, k)}: empty date")
+            raise ValueError(f"{path}:{lines[k]}: empty date")
         if k and not dates[k - 1] < date:
             raise ValueError(
-                f"{path}:{_physical_line(path, delimiter, k)}: dates not strictly "
+                f"{path}:{lines[k]}: dates not strictly "
                 f"increasing ({date!r} after {dates[k - 1]!r})"
             )
-
-
-def _physical_line(path: Path, delimiter: str, k: int) -> int:
-    """Line of the file on which data row k (0-based, blank lines not counted) ends.
-
-    The file is read a second time; if that fails or the file has become
-    shorter (a pipe, or a file rewritten meanwhile), the row's position in
-    the first read, k + 2, is returned instead.
-    """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            next(reader)
-            rows = filter(None, reader)
-            for _ in range(k + 1):
-                next(rows)
-            return reader.line_num
-    except (OSError, UnicodeError, StopIteration, csv.Error):
-        return k + 2
 
 
 def log_returns(series: PriceSeries | np.ndarray, scale: int = 1) -> np.ndarray:
     """Log-returns log p[t+scale] - log p[t] over all overlapping offsets.
 
-    Accepts a PriceSeries or a raw positive price array; output length is
-    len(series) - scale.
+    Accepts a PriceSeries or a raw positive price array with time along its
+    first axis; output length is len(series) - scale.
     """
     prices = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=float)
     if scale < 1:
@@ -370,6 +356,5 @@ def returns_panel(series: Sequence[PriceSeries] | Mapping[str, PriceSeries], sca
     dates, tickers, prices = align_series(series)
     if scale >= len(dates):
         raise ValueError(f"scale {scale} >= aligned length {len(dates)}")
-    logs = np.log(prices)
-    values = logs[scale:] - logs[:-scale]
+    values = log_returns(prices, scale)
     return ReturnsPanel(assets=tickers, times=dates[scale:], values=values, scale=scale)

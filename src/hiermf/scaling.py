@@ -259,10 +259,14 @@ def _circulant_sample(cov: np.ndarray, rng: np.random.Generator, clip_negative: 
     return sample, clipped
 
 
-def _fgn(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    cov = fgn_autocovariance(hurst, np.arange(length + 1))
-    sample, _ = _circulant_sample(cov, rng, clip_negative=False)
-    return sample
+def _fbm_path(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """fBm path of `length` points anchored at 0, its increments exact fGn."""
+    cov = fgn_autocovariance(hurst, np.arange(length))
+    fgn, _ = _circulant_sample(cov, rng, clip_negative=False)
+    path = np.empty(length)
+    path[0] = 0.0
+    np.cumsum(fgn, out=path[1:])
+    return path
 
 
 def generate_fbm(spec: FbmSpec) -> np.ndarray:
@@ -271,12 +275,7 @@ def generate_fbm(spec: FbmSpec) -> np.ndarray:
     Increments are exact fractional Gaussian noise (circulant embedding, no
     approximation); the same spec always yields the identical path.
     """
-    rng = np.random.default_rng(spec.seed)
-    fgn = _fgn(spec.length - 1, spec.hurst, rng)
-    path = np.empty(spec.length)
-    path[0] = 0.0
-    np.cumsum(fgn, out=path[1:])
-    return path
+    return _fbm_path(spec.length, spec.hurst, np.random.default_rng(spec.seed))
 
 
 @dataclass(frozen=True)
@@ -305,9 +304,7 @@ class ThresholdCalibration:
 def _calibration_draw(index: int, seed: int, lo: float, hi: float, length: int) -> float:
     rng = derived_rng(seed, index)
     hurst = rng.uniform(lo, hi)
-    fgn = _fgn(length - 1, hurst, rng)
-    path = np.concatenate(([0.0], np.cumsum(fgn)))
-    return delta_h(estimate_ghe(path))
+    return delta_h(estimate_ghe(_fbm_path(length, hurst, rng)))
 
 
 def calibrate_threshold(

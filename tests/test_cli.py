@@ -110,6 +110,20 @@ def test_simulate_repeat_directories(tmp_path):
     assert a != b  # independent realizations
 
 
+@pytest.mark.parametrize(
+    "flags, config_repeat, named",
+    [(["--repeat", "0"], None, "--repeat"), ([], 0, "config key 'repeat'")],
+)
+def test_simulate_rejects_zero_repeat(tmp_path, capsys, flags, config_repeat, named):
+    config = write_model_config(tmp_path)
+    if config_repeat is not None:
+        config.write_text(json.dumps({**json.loads(config.read_text()), "repeat": config_repeat}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), *flags, "--out", str(out)]) == 1
+    assert f"{named} must be >= 1, got 0" in capsys.readouterr().err
+    assert not (out / "run_0000").exists()
+
+
 def test_simulate_worker_count_invariant(tmp_path):
     config = write_model_config(tmp_path)
     for jobs in ("1", "2"):
@@ -492,6 +506,11 @@ def test_validate_model_zero_tolerance_fails(tmp_path):
         (["--trees", "0"], {}, "--trees"),
         ([], {"steps": 1}, "config key 'steps'"),
         ([], {"dispersion-seeds": 0}, "config key 'dispersion-seeds'"),
+        # no correlation deviation exceeds 2, so a tolerance of 2 or more checks nothing
+        (["--steps", "100"], {}, "--steps gives a tolerance of 2;"),
+        ([], {"steps": 50}, "config key 'steps' gives a tolerance of 2.82843;"),
+        (["--tolerance", "2"], {}, "--tolerance gives a tolerance of 2;"),
+        ([], {"tolerance": 3.5}, "config key 'tolerance' gives a tolerance of 3.5;"),
     ],
 )
 def test_validate_model_rejects_empty_runs_before_simulating(

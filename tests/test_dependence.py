@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -217,3 +218,55 @@ def test_correlation_csv_round_trip(tmp_path):
     back = read_correlation_csv(f)
     assert back.assets == corr.assets
     assert np.array_equal(back.values, corr.values)
+
+
+def reference_write_correlation_csv(matrix, path):
+    """The csv.writer writer that write_correlation_csv replaced: "\r\n" line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["", *matrix.assets])
+        for label, row in zip(matrix.assets, matrix.values):
+            writer.writerow([label, *(repr(float(v)) for v in row)])
+
+
+def test_correlation_csv_matches_csv_writer_up_to_line_ends(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((60, 5))
+    values[:, 4] = values[:, 0]  # an exact 1.0 off the diagonal
+    corr = weighted_pearson_matrix(panel_from(values), exp_weights(60, 20.0))
+    corr = CorrelationMatrix(("X,Y", 'Q"T', "plain", " pad ", "Z"), corr.values)
+    write_correlation_csv(corr, tmp_path / "new.csv")
+    reference_write_correlation_csv(corr, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert b"\r" not in new
+    assert new == (tmp_path / "old.csv").read_bytes().replace(b"\r\n", b"\n")
+    back = read_correlation_csv(tmp_path / "new.csv")
+    assert back.assets == corr.assets
+    assert np.array_equal(back.values, corr.values)
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_correlation_csv_reader_skips_blank_lines(tmp_path):
+    f = write_lines(tmp_path / "c.csv", ["", ",a,b", "", "a,1.0,0.5", "", "b,0.5,1.0", ""])
+    back = read_correlation_csv(f)
+    assert back.assets == ("a", "b")
+    assert np.array_equal(back.values, [[1.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "row_b, message",
+    [
+        ("b,0.5", r"c\.csv: row 'b' has 1 values, expected 2"),
+        ("b,0.5,1.0,0.0", r"c\.csv: row 'b' has 3 values, expected 2"),
+        ("b,0.5,x", r"c\.csv: row 'b': could not convert string to float: 'x'"),
+    ],
+    ids=["short_row", "long_row", "non_number"],
+)
+def test_correlation_csv_reader_names_file_and_row(tmp_path, row_b, message):
+    f = write_lines(tmp_path / "c.csv", [",a,b", "a,1.0,0.5", row_b])
+    with pytest.raises(ValueError, match=message):
+        read_correlation_csv(f)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -30,7 +31,7 @@ from hiermf.dhm import (
     zeta1,
     zeta2,
 )
-from hiermf.hierarchy import comb_tree, leaf_path, order_profile, random_binary_tree, serialize_dendrogram
+from hiermf.hierarchy import Dendrogram, comb_tree, leaf_path, order_profile, random_binary_tree, serialize_dendrogram
 from hiermf.scaling import _circulant_sample
 from hiermf.util import derived_rng
 
@@ -68,6 +69,48 @@ def test_zeta_vectorized():
     p = np.linspace(0, 1, 11)
     assert zeta1(p).shape == (11,)
     assert np.all(zeta1(p) ** 2 <= zeta2(p) + 1e-12)
+
+
+def reference_zeta(p, e_minus_one):
+    """zeta1 (e - 1) and zeta2 (e^2 - 1) as each was written before they shared a body."""
+    p = np.asarray(p, dtype=float)
+    if np.any((p < 0) | (p > 1)):
+        raise ValueError("p must lie in [0, 1]")
+    out = p * e_minus_one + 1.0
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_perturbation_matrix(tree, leaves):
+    """_perturbation_matrix with its own scalar (p(e-1)+1)/sqrt(p(e^2-1)+1) per node."""
+    f = np.eye(len(leaves))
+    below = {leaf: (np.array([k]), np.ones(1)) for k, leaf in enumerate(leaves)}
+    nothing = (np.empty(0, dtype=int), np.empty(0))
+    nodes, stack = [], [tree.tree.root]
+    while stack:
+        nodes.append(tree.tree.node(stack.pop()))
+        stack.extend(c for c in (nodes[-1].left, nodes[-1].right) if isinstance(c, int))
+    for node in reversed(nodes):
+        (li, lp), (ri, rp) = below.pop(node.left, nothing), below.pop(node.right, nothing)
+        f[np.ix_(li, ri)] = np.outer(lp, rp)
+        f[np.ix_(ri, li)] = f[np.ix_(li, ri)].T
+        g = (node.p * dhm.E1 + 1.0) / math.sqrt(node.p * dhm.E2 + 1.0)
+        below[node.id] = (np.concatenate((li, ri)), np.concatenate((lp, rp)) * g)
+    return f
+
+
+def test_zeta_and_perturbation_are_bitwise_equal_to_the_old_formulas():
+    rng = np.random.default_rng(23)
+    p = np.concatenate(([0.0, 1.0, 0.5], rng.random(1000)))
+    for new, e_minus_one in ((zeta1, dhm.E1), (zeta2, dhm.E2)):
+        assert np.array_equal(new(p), reference_zeta(p, e_minus_one))
+        assert all(new(float(v)) == reference_zeta(float(v), e_minus_one) for v in p[:50])
+    for n_leaves in (2, 3, 9, 40):
+        labels = [f"L{i}" for i in range(n_leaves)]
+        tree = draw_probabilities(random_binary_tree(n_leaves, rng, labels), 0.0, 1.0, rng)
+        leaves = list(rng.permutation(labels))
+        assert np.array_equal(
+            dhm._perturbation_matrix(tree, leaves), reference_perturbation_matrix(tree, leaves)
+        )
 
 
 # --- log-correlated volatility ---
@@ -620,6 +663,18 @@ def test_load_dhm_config_missing_probability(tmp_path):
         load_dhm_config(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("p_range", [[0.6, 0.4], [0.5, 1.5]], ids=["reversed", "above_one"])
+def test_load_dhm_config_rejects_a_bad_p_range(tmp_path, p_range):
+    serialize_dendrogram(random_binary_tree(3, np.random.default_rng(15)), tmp_path / "t.json")
+    config = {
+        "length": 10, "seed": 1,
+        "regimes": [{"tree": "t.json", "duration": 10, "p_range": p_range}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=r"probability range \[.*\] outside \[0, 1\]"):
+        load_dhm_config(tmp_path / "m.json")
+
+
 def test_load_dhm_config_covariance_file_is_normalized(tmp_path):
     labels = ["a", "b", "c"]
     tree = comb_tree(3, labels)
@@ -701,3 +756,48 @@ def test_load_dhm_config_explicit_p_wins(tmp_path):
     spec = load_dhm_config(tmp_path / "m.json")
     assert all(spec.regimes[0].tree.probability(i) == 0.25 for i in spec.regimes[0].tree.node_ids)
     assert spec.logvol is None
+
+
+def reference_risk_tree_from_config(tree, p_range, inherit, rng):
+    """The node loop _risk_tree_from_config ran before it called draw_probabilities."""
+    probs = {}
+    for node in tree.nodes:
+        if node.p is not None:
+            probs[node.id] = node.p
+        elif inherit and node.id in inherit:
+            probs[node.id] = inherit[node.id]
+        elif p_range is not None:
+            probs[node.id] = float(rng.uniform(p_range[0], p_range[1]))
+        else:
+            raise ValueError(f"node {node.id} has no probability")
+    return RiskTree(tree.with_probabilities(probs))
+
+
+def test_risk_tree_from_config_matches_the_old_node_loop():
+    rng = np.random.default_rng(29)
+    outcomes = {"tree": 0, "error": 0}
+    for k in range(300):
+        n_leaves = int(rng.integers(2, 12))
+        tree = random_binary_tree(n_leaves, rng)
+        # each node: explicit p, inherited p, both, or neither
+        kinds = rng.integers(0, 4, size=len(tree.nodes))
+        explicit = {n.id: float(rng.random()) for n, c in zip(tree.nodes, kinds) if c in (1, 3)}
+        tree = Dendrogram(tree.leaves, tuple(
+            dataclasses.replace(n, p=explicit.get(n.id)) for n in tree.nodes
+        ), tree.root)
+        inherit = {n.id: float(rng.random()) for n, c in zip(tree.nodes, kinds) if c in (2, 3)}
+        inherit[10_000] = 0.5  # an id of an earlier regime's tree only
+        inherit = inherit if k % 5 else None
+        p_range = (0.2, 0.7) if k % 3 else None
+        old_rng, new_rng = derived_rng(k), derived_rng(k)
+        try:
+            want = reference_risk_tree_from_config(tree, p_range, inherit, old_rng)
+        except ValueError:
+            with pytest.raises(ValueError, match=r"node \d+ has no probability"):
+                dhm._risk_tree_from_config(tree, p_range, inherit, new_rng)
+            outcomes["error"] += 1
+            continue
+        assert dhm._risk_tree_from_config(tree, p_range, inherit, new_rng) == want
+        assert new_rng.random() == old_rng.random()  # the same draws were taken
+        outcomes["tree"] += 1
+    assert min(outcomes.values()) > 30

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -521,6 +522,57 @@ def test_serialize_parse_round_trip(tmp_path):
     assert back.leaves == tree.leaves
     assert back.root == tree.root
     assert sorted(back.nodes, key=lambda n: n.id) == sorted(tree.nodes, key=lambda n: n.id)
+
+
+def reference_serialize_dendrogram(tree, path):
+    """The json.dump writer serialize_dendrogram replaced: insertion-ordered keys, in place."""
+    payload = {
+        "leaves": list(tree.leaves),
+        "nodes": [
+            {
+                "id": node.id,
+                "left": hierarchy._encode_child(node.left),
+                "right": hierarchy._encode_child(node.right),
+                "height": node.height,
+                **({"p": node.p} if node.p is not None else {}),
+            }
+            for node in tree.nodes
+        ],
+        "root": tree.root,
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def test_serialized_tree_has_sorted_keys_and_the_old_content(tmp_path):
+    rng = np.random.default_rng(13)
+    tree = random_binary_tree(9, rng)
+    nodes = tuple(  # every other node without a probability
+        TreeNode(n.id, n.left, n.right, n.height, float(rng.random()) if k % 2 else None)
+        for k, n in enumerate(tree.nodes)
+    )
+    tree = Dendrogram(tree.leaves, nodes, tree.root)
+    serialize_dendrogram(tree, tmp_path / "new.json")
+    reference_serialize_dendrogram(tree, tmp_path / "old.json")
+    new = (tmp_path / "new.json").read_text()
+    old = json.loads((tmp_path / "old.json").read_text())
+    assert json.loads(new) == old
+    assert new == json.dumps(old, indent=2, sort_keys=True) + "\n"
+
+
+def test_serialize_dendrogram_replaces_the_file_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "tree.json"
+    path.write_text("previous\n")
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    with pytest.raises(OSError, match="disk full"):
+        serialize_dendrogram(comb_tree(4), path)
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.json"]
 
 
 def test_parse_example_file(example_tree_path):

@@ -292,28 +292,26 @@ def test_date_errors_name_the_physical_line(tmp_path, text, message):
     assert str(info.value).startswith(f"{f}{message}")
 
 
-@pytest.mark.parametrize("second_read", ["shortened", "unreadable"])
-def test_date_error_line_falls_back_when_reread_fails(tmp_path, monkeypatch, second_read):
+def test_date_error_reads_the_file_once_and_keeps_its_line(tmp_path, monkeypatch):
     f = tmp_path / "p.csv"
     f.write_text("date,A\n\n2020-01-02,1\n2020-01-01,2\n")
     opened = []
 
-    def open_once(path, *args, **kwargs):
+    def open_and_rewrite(path, *args, **kwargs):
+        # hand over the content, then shorten the file as a writer might
         opened.append(path)
-        if len(opened) == 1:
-            return open(path, *args, **kwargs)
-        if second_read == "unreadable":
-            raise OSError("gone")
-        return io.StringIO("date,A\n")
+        with open(path, *args, **kwargs) as fh:
+            text = fh.read()
+        f.write_text("date,A\n")
+        return io.StringIO(text)
 
-    monkeypatch.setattr(market_data, "open", open_once, raising=False)
+    monkeypatch.setattr(market_data, "open", open_and_rewrite, raising=False)
     with pytest.raises(ValueError) as info:
         load_prices_csv(f)
-    # row 2 of the first read; the blank line can no longer be counted
     assert str(info.value) == (
-        f"{f}:3: dates not strictly increasing ('2020-01-01' after '2020-01-02')"
+        f"{f}:4: dates not strictly increasing ('2020-01-01' after '2020-01-02')"
     )
-    assert len(opened) == 2
+    assert opened == [f]
 
 
 # --- domain type validation ---

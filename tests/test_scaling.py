@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hiermf import scaling
 from hiermf.scaling import (
     FbmSpec,
+    _circulant_sample,
     _moment_table,
     calibrate_threshold,
     delta_h,
@@ -12,6 +14,7 @@ from hiermf.scaling import (
     ghe_from_moments,
     q_moment,
 )
+from hiermf.util import derived_rng
 
 
 # --- q-moments ---
@@ -223,6 +226,39 @@ def test_fbm_starts_at_zero_and_has_requested_length():
     path = generate_fbm(FbmSpec(hurst=0.3, length=1000, seed=0))
     assert path.shape == (1000,)
     assert path[0] == 0.0
+
+
+def reference_fgn(length, hurst, rng):
+    cov = fgn_autocovariance(hurst, np.arange(length + 1))
+    sample, _ = _circulant_sample(cov, rng, clip_negative=False)
+    return sample
+
+
+def reference_generate_fbm(spec):
+    """generate_fbm before it shared its path builder with the calibration draw."""
+    fgn = reference_fgn(spec.length - 1, spec.hurst, np.random.default_rng(spec.seed))
+    path = np.empty(spec.length)
+    path[0] = 0.0
+    np.cumsum(fgn, out=path[1:])
+    return path
+
+
+def reference_calibration_draw(index, seed, lo, hi, length):
+    rng = derived_rng(seed, index)
+    hurst = rng.uniform(lo, hi)
+    path = np.concatenate(([0.0], np.cumsum(reference_fgn(length - 1, hurst, rng))))
+    return delta_h(estimate_ghe(path))
+
+
+@pytest.mark.parametrize("length", [2, 3, 190, 1000, 4026])
+def test_fbm_paths_are_bitwise_equal_to_the_old_builders(length):
+    for hurst, seed in ((0.1, 0), (0.5, 1), (0.83, 2)):
+        spec = FbmSpec(hurst=hurst, length=length, seed=seed)
+        assert np.array_equal(generate_fbm(spec), reference_generate_fbm(spec))
+    if length >= 190:
+        for index in range(3):
+            args = (index, 5, 0.1, 0.9, length)
+            assert scaling._calibration_draw(*args) == reference_calibration_draw(*args)
 
 
 def test_fbm_spec_validation():
