@@ -118,12 +118,29 @@ def _setting(args, config: dict, name: str, default=None):
     return config.get(name, default)
 
 
-def _count_setting(args, config: dict, name: str, default: int, minimum: int) -> int:
-    """Integer setting that must be at least `minimum`; the error names the flag or config key."""
-    value = int(_setting(args, config, name, default))
-    if value < minimum:
+def _count_setting(
+    args, config: dict, name: str, default: int | None, minimum: int | None = None
+) -> int:
+    """Integer setting, at least `minimum` unless that is None; errors name the flag or config key.
+
+    A bool or a float is not an integer here: JSON `true` or `2.7` is an error, not 1 or 2.
+    """
+    value = _setting(args, config, name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{_source(args, name)} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
         raise UsageError(f"{_source(args, name)} must be >= {minimum}, got {value}")
     return value
+
+
+def _float_setting(args, config: dict, name: str, default: float | None) -> float | None:
+    """Real-number setting, None when unset with no default; errors name the flag or config key."""
+    value = _setting(args, config, name, default)
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise UsageError(f"{_source(args, name)} must be a number, got {value!r}")
+    return float(value)
 
 
 def _source(args, name: str) -> str:
@@ -196,7 +213,8 @@ def _ghe_table(panel: ReturnsPanel) -> dict[str, dict]:
 def cmd_analyze(args) -> int:
     config = _load_config_file(args.config)
     out = _out_dir(args)
-    threshold = float(_setting(args, config, "threshold", 0.015))
+    threshold = _float_setting(args, config, "threshold", 0.015)
+    theta = _float_setting(args, config, "theta", None)
     method = _setting(args, config, "method", "average")
     tree_file = _setting(args, config, "tree")
     manifest = Manifest(out, "analyze", {
@@ -204,7 +222,7 @@ def cmd_analyze(args) -> int:
         "threshold": threshold,
         "method": method,
         "tree": tree_file,
-        "theta": _setting(args, config, "theta"),
+        "theta": theta,
         "seed": args.seed,
     })
 
@@ -212,8 +230,7 @@ def cmd_analyze(args) -> int:
     panel, ingestion = _load_panel(args, config, MIN_SERIES_LENGTH - 1)
     manifest.stage("load")
 
-    theta = float(_setting(args, config, "theta", panel.n_times / 3.0))
-    scheme = exp_weights(panel.n_times, theta)
+    scheme = exp_weights(panel.n_times, panel.n_times / 3.0 if theta is None else theta)
     corr = weighted_pearson_matrix(panel, scheme)
     if tree_file:
         try:
@@ -329,21 +346,21 @@ def cmd_simulate(args) -> int:
     config = _load_config_file(args.config)
     out = _out_dir(args)
     repeat = _count_setting(args, config, "repeat", 1, 1)
-    base_seed = args.seed if args.seed is not None else config.get("seed")
-    if base_seed is None:
+    if _setting(args, config, "seed") is None:
         raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
+    base_seed = _count_setting(args, config, "seed", None, 0)
     manifest = Manifest(out, "simulate", {**config, "seed": base_seed, "repeat": repeat})
 
     base_dir = Path(args.config).resolve().parent
     # validate the spec once up front so errors surface before any run
     try:
-        dhm_mod.load_dhm_config_dict(config, base_dir, seed_override=int(base_seed))
+        dhm_mod.load_dhm_config_dict(config, base_dir, seed_override=base_seed)
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad model spec: {exc}") from exc
     manifest.stage("validate")
 
     payloads = [
-        {"config": config, "base_dir": str(base_dir), "seed": int(base_seed) + r}
+        {"config": config, "base_dir": str(base_dir), "seed": base_seed + r}
         for r in range(repeat)
     ]
     worker = functools.partial(_simulate_one, out_dir=str(out))
@@ -359,9 +376,9 @@ def cmd_simulate(args) -> int:
 def cmd_rolling(args) -> int:
     config = _load_config_file(args.config)
     out = _out_dir(args)
-    length = int(_setting(args, config, "window-length", 752))
-    count = int(_setting(args, config, "window-count", 50))
-    theta = float(_setting(args, config, "theta", 250.0))
+    length = _count_setting(args, config, "window-length", 752)
+    count = _count_setting(args, config, "window-count", 50, 1)
+    theta = _float_setting(args, config, "theta", 250.0)
     method = _setting(args, config, "method", "average")
     manifest = Manifest(out, "rolling", {
         "data": _setting(args, config, "data"),
@@ -376,22 +393,25 @@ def cmd_rolling(args) -> int:
         )
 
     panel, ingestion = _load_panel(args, config, length)
+    spec = WindowSpec(length=length, count=count)
     try:
-        windows = rolling_windows(panel, WindowSpec(length=length, count=count))
+        windows = rolling_windows(panel, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     write_json_atomic(manifest.record(out / "ingestion.json"), ingestion, indent=None)
     manifest.stage("load")
 
     scheme = exp_weights(length, theta)
+    # one pass over the whole panel shares each scale's increments across windows
+    window_ghe = estimate_ghe(panel.log_price_paths(), windows=spec)
     rows = []
-    for w_index, window in enumerate(windows):
+    for w_index, (window, estimates) in enumerate(zip(windows, window_ghe)):
         corr = weighted_pearson_matrix(window, scheme)
         off = corr.offdiagonal()
         tree = linkage_cluster(corr_to_distance(corr), window.assets, method)
         orders = order_profile(tree)
         cut = cluster_cut(tree)
-        dhs = [delta_h(est) for est in estimate_ghe(window.log_price_paths())]
+        dhs = [delta_h(est) for est in estimates]
         (quantiles,) = quantile_summary({"rho": off}, levels=(0.025, 0.25, 0.75, 0.975))
         rows.append([
             w_index, window.times[0], window.times[-1],
@@ -516,11 +536,11 @@ def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float 
 def cmd_validate_model(args) -> int:
     config = _load_config_file(args.config)
     out = _out_dir(args)
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    seed = _count_setting(args, config, "seed", 0, 0)
     steps = _count_setting(args, config, "steps", 1_000_000, 2)
     # the default band is calibrated at 1e6 steps; scale it for shorter runs
     default_tolerance = 0.02 * max(1.0, (1_000_000 / steps) ** 0.5)
-    tolerance = float(_setting(args, config, "tolerance", default_tolerance))
+    tolerance = _float_setting(args, config, "tolerance", default_tolerance)
     if tolerance >= 2:  # no correlation deviation exceeds 2, so no check could fail
         name = "steps" if _setting(args, config, "tolerance") is None else "tolerance"
         raise UsageError(
@@ -528,9 +548,9 @@ def cmd_validate_model(args) -> int:
             "(the default tolerance is, from 101 steps on)"
         )
     n_trees = _count_setting(args, config, "trees", 3, 1)
-    length = int(_setting(args, config, "length", 4026))
+    length = _count_setting(args, config, "length", 4026)
     n_seeds = _count_setting(args, config, "dispersion-seeds", 3, 1)
-    min_ratio = float(_setting(args, config, "min-dispersion-ratio", 1.0))
+    min_ratio = _float_setting(args, config, "min-dispersion-ratio", 1.0)
     manifest = Manifest(out, "validate-model", {
         "seed": seed, "tolerance": tolerance, "steps": steps, "trees": n_trees,
         "length": length, "dispersion-seeds": n_seeds, "min-dispersion-ratio": min_ratio,
@@ -559,11 +579,11 @@ def cmd_validate_model(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config_file(args.config)
     out = _out_dir(args)
-    count = int(_setting(args, config, "count", 1000))
-    hurst_min = float(_setting(args, config, "hurst-min", 0.1))
-    hurst_max = float(_setting(args, config, "hurst-max", 0.9))
-    length = int(_setting(args, config, "length", 4026))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    count = _count_setting(args, config, "count", 1000)
+    hurst_min = _float_setting(args, config, "hurst-min", 0.1)
+    hurst_max = _float_setting(args, config, "hurst-max", 0.9)
+    length = _count_setting(args, config, "length", 4026)
+    seed = _count_setting(args, config, "seed", 0, 0)
     manifest = Manifest(out, "calibrate", {
         "count": count, "hurst-min": hurst_min, "hurst-max": hurst_max,
         "length": length, "seed": seed,

@@ -85,7 +85,11 @@ class ReturnsPanel:
             raise ValueError(f"{values.shape[1]} columns vs {len(self.assets)} assets")
         if values.shape[0] != len(self.times):
             raise ValueError(f"{values.shape[0]} rows vs {len(self.times)} times")
-        if not np.all(np.isfinite(values)):
+        # a finite sum means finite entries; only a NaN, an inf or an overflowing
+        # sum pays for the elementwise check and its panel-sized temporary
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_sum = np.isfinite(values.sum())
+        if not finite_sum and not np.all(np.isfinite(values)):
             raise ValueError("panel contains non-finite entries")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hiermf.market_data import WindowSpec
 from hiermf.util import derived_rng, parallel_map
 
 __all__ = [
@@ -66,18 +67,25 @@ def delta_h(est: GheEstimate) -> float:
     return est.h(1.0) - est.h(2.0)
 
 
-def _moment_table(series: np.ndarray, q_values, scales) -> np.ndarray:
-    """M[j, i, k] = mean |x_j[t + l] - x_j[t]|^q_i at l = scales[k], rows x_j of `series`.
+def _moment_table(series: np.ndarray, q_values, scales, starts=(0,), span=None) -> np.ndarray:
+    """M[w, j, i, k] = mean |x_j[t + l] - x_j[t]|^q_i at l = scales[k] over window w.
+
+    Window w holds the `span` points of each row x_j of `series` from
+    starts[w] on (default: one window over the whole series). Each scale's
+    increments and their powers are computed once over the whole series;
+    every window then sums its own slice [s, s + span - l) of them.
 
     `series` is (assets, time) and contiguous along time, so numpy reduces
-    each row with the same pairwise summation as a lone 1-D series: row j of
-    the table equals the table of x_j alone bit for bit. Two (assets, time)
-    buffers are reused across scales instead of fresh temporaries; the
-    second is never written when only the last q differs from 1, as with
-    the default (1, 2), so it costs no resident memory then.
+    each row slice with the same pairwise summation as a lone 1-D series of
+    those values: a single window over row j equals the table of x_j alone
+    bit for bit. Two (assets, time) buffers are reused across scales instead
+    of fresh temporaries; the second is never written when only the last q
+    differs from 1, as with the default (1, 2), so it costs no resident
+    memory then.
     """
     n_assets, n_times = series.shape
-    sums = np.empty((n_assets, len(q_values), len(scales)))
+    span = n_times if span is None else span
+    sums = np.empty((len(starts), n_assets, len(q_values), len(scales)))
     inc = np.empty((n_assets, n_times - 1))
     powered = np.empty_like(inc)
     for k, scale in enumerate(scales):
@@ -89,9 +97,10 @@ def _moment_table(series: np.ndarray, q_values, scales) -> np.ndarray:
             # the last power may overwrite the increments; earlier ones may not
             out = d if i == len(q_values) - 1 else powered[:, :width]
             term = d if q == 1.0 else np.power(d, q, out=out)
-            np.add.reduce(term, axis=1, out=sums[:, i, k])
+            for w, s in enumerate(starts):
+                np.add.reduce(term[:, s : s + span - scale], axis=1, out=sums[w, :, i, k])
     # np.mean is this sum divided by the count
-    return sums / (n_times - np.asarray(scales, dtype=float))
+    return sums / (span - np.asarray(scales, dtype=float))
 
 
 def q_moment(log_prices, q: float, scale: int) -> float:
@@ -107,14 +116,14 @@ def q_moment(log_prices, q: float, scale: int) -> float:
         raise ValueError("q must be positive")
     if not 1 <= scale <= x.shape[0] - 1:
         raise ValueError(f"scale {scale} out of range for series of length {x.shape[0]}")
-    return float(_moment_table(x[None, :], (q,), (scale,))[0, 0, 0])
+    return float(_moment_table(x[None, :], (q,), (scale,))[0, 0, 0, 0])
 
 
 def ghe_from_moments(
     moments: np.ndarray,
     q_values: tuple[float, ...],
     lmax_range: tuple[int, int] = DEFAULT_LMAX_RANGE,
-) -> GheEstimate | list[GheEstimate]:
+) -> GheEstimate | list[GheEstimate] | list[list[GheEstimate]]:
     """Fit H(q) from a precomputed moment table M[q_index, scale-1].
 
     For each upper scale lmax in the range, the slope of log M against log l
@@ -122,22 +131,26 @@ def ghe_from_moments(
     sweep and its standard error is the standard deviation across fits.
 
     A stack of tables M[column, q_index, scale-1] is fitted in one pass and
-    gives a list with one estimate per column.
+    gives a list with one estimate per column; a stack
+    M[window, column, q_index, scale-1] gives one such list per window.
     """
     lo, hi = lmax_range
     if not 2 <= lo <= hi:
         raise ValueError(f"invalid lmax range {lmax_range}")
     moments = np.asarray(moments, dtype=float)
+    if moments.ndim not in (2, 3, 4):
+        raise ValueError(f"expected a table or a stack of tables, got shape {moments.shape}")
     if moments.shape[-1] < hi:
         raise ValueError(f"need moments up to scale {hi}, got {moments.shape[-1]}")
     if moments.ndim == 2:
         return ghe_from_moments(moments[None], q_values, lmax_range)[0]
     zero = np.argwhere(moments[..., :hi] == 0.0)
     if zero.size:
-        col, qi, li = zero[0]
-        raise ValueError(
-            f"degenerate q-moment M(q={q_values[qi]}, l={li + 1}) = 0 in column {col}"
-        )
+        *where, qi, li = zero[0]
+        place = f"column {where[-1]}"
+        if len(where) == 2:
+            place = f"window {where[0]}, {place}"
+        raise ValueError(f"degenerate q-moment M(q={q_values[qi]}, l={li + 1}) = 0 in {place}")
 
     # column k of `weights` holds the least-squares slope weights over l = 1..lmax
     log_l = np.log(np.arange(1, hi + 1, dtype=float))
@@ -145,7 +158,7 @@ def ghe_from_moments(
     for k, lmax in enumerate(range(lo, hi + 1)):
         xc = log_l[:lmax] - log_l[:lmax].mean()
         weights[:lmax, k] = xc / (xc @ xc)
-    log_m = np.log(moments[..., :hi])
+    log_m = np.log(moments[..., :hi].reshape(-1, moments.shape[-2], hi))
     # the weights sum to zero only up to rounding; measuring log M from its
     # l = 1 value keeps that residue from scaling with the size of log M
     slopes = (log_m - log_m[..., :1]) @ weights
@@ -155,7 +168,7 @@ def ghe_from_moments(
     std_errors = h_per_fit.std(axis=-1, ddof=1).tolist()
     slopes.flags.writeable = False
     q_values = tuple(float(q) for q in q_values)
-    return [
+    estimates = [
         GheEstimate(
             q_values=q_values,
             h_values=tuple(h_values[j]),
@@ -165,29 +178,50 @@ def ghe_from_moments(
         )
         for j in range(slopes.shape[0])
     ]
+    if moments.ndim == 3:
+        return estimates
+    n_columns = moments.shape[1]
+    return [estimates[w : w + n_columns] for w in range(0, len(estimates), n_columns)]
 
 
 def estimate_ghe(
     log_prices: np.ndarray,
     q_values: tuple[float, ...] = DEFAULT_Q,
     lmax_range: tuple[int, int] = DEFAULT_LMAX_RANGE,
-) -> GheEstimate | list[GheEstimate]:
+    windows: WindowSpec | None = None,
+) -> GheEstimate | list[GheEstimate] | list[list[GheEstimate]]:
     """Generalized Hurst exponents of a log-price sequence.
 
     A 1-D series gives one estimate. A 2-D (time, assets) array, laid out
     like ReturnsPanel.log_price_paths(), gives a list with one estimate per
     column, each equal to the estimate of that column alone.
+
+    With `windows`, the series holds the log-prices of a whole returns panel
+    and the result has one entry per window of `windows.starts(rows - 1)`:
+    the estimate (1-D) or list of estimates (2-D) of the `windows.length + 1`
+    log-prices from the window's start on. Each scale's increments and
+    powers are formed once for all windows, and each window's sums are
+    pairwise over its own slice, so the result differs from estimating each
+    window's own log_price_paths() only by the rounding of the increments
+    (differences of the whole series' running sums): under 1e-12 in H.
     """
     x = np.asarray(log_prices, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected a series or a (time, assets) array, got shape {x.shape}")
     lo, hi = lmax_range
-    if x.shape[0] < 10 * hi:
-        raise ValueError(f"series length {x.shape[0]} < 10 * max scale {hi}")
+    starts, span = (0,), x.shape[0]
+    if windows is not None:
+        starts, span = windows.starts(x.shape[0] - 1), windows.length + 1
+    if span < 10 * hi:
+        raise ValueError(f"series length {span} < 10 * max scale {hi}")
     series = x[None, :] if x.ndim == 1 else np.ascontiguousarray(x.T)
-    moments = _moment_table(series, q_values, range(1, hi + 1))
+    moments = _moment_table(series, q_values, range(1, hi + 1), starts, span)
+    if windows is None:
+        moments = moments[0]
     estimates = ghe_from_moments(moments, tuple(q_values), lmax_range)
-    return estimates[0] if x.ndim == 1 else estimates
+    if x.ndim == 2:
+        return estimates
+    return estimates[0] if windows is None else [columns[0] for columns in estimates]
 
 
 @dataclass(frozen=True)

@@ -537,6 +537,79 @@ def test_equivalence_check_fails_when_the_deviation_is_nan():
     assert report["passed"] is False
 
 
+# --- config value types ---
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before the settings were checked")
+
+
+BAD_SETTINGS = [
+    # integers
+    ("validate-model", {"trees": 2.7}, "config key 'trees' must be an integer, got 2.7"),
+    ("validate-model", {"steps": "lots"}, "config key 'steps' must be an integer, got 'lots'"),
+    ("validate-model", {"dispersion-seeds": True}, "config key 'dispersion-seeds' must be an integer"),
+    ("validate-model", {"length": 400.5}, "config key 'length' must be an integer"),
+    ("calibrate", {"count": "100"}, "config key 'count' must be an integer"),
+    ("calibrate", {"length": 400.0}, "config key 'length' must be an integer"),
+    ("simulate", {"repeat": 2.5}, "config key 'repeat' must be an integer"),
+    ("rolling", {"window-length": 200.9}, "config key 'window-length' must be an integer, got 200.9"),
+    ("rolling", {"window-count": "5"}, "config key 'window-count' must be an integer"),
+    ("rolling", {"window-count": 0}, "config key 'window-count' must be >= 1, got 0"),
+    # seeds
+    ("validate-model", {"seed": "7"}, "config key 'seed' must be an integer, got '7'"),
+    ("validate-model", {"seed": 7.9}, "config key 'seed' must be an integer, got 7.9"),
+    ("calibrate", {"seed": "7"}, "config key 'seed' must be an integer, got '7'"),
+    ("calibrate", {"seed": 7.9}, "config key 'seed' must be an integer, got 7.9"),
+    ("calibrate", {"seed": -1}, "config key 'seed' must be >= 0, got -1"),
+    ("simulate", {"seed": "7"}, "config key 'seed' must be an integer, got '7'"),
+    ("simulate", {"seed": 7.9}, "config key 'seed' must be an integer, got 7.9"),
+    # real numbers
+    ("analyze", {"threshold": "abc"}, "config key 'threshold' must be a number, got 'abc'"),
+    ("analyze", {"theta": True}, "config key 'theta' must be a number, got True"),
+    ("rolling", {"theta": "abc"}, "config key 'theta' must be a number, got 'abc'"),
+    ("validate-model", {"tolerance": "abc"}, "config key 'tolerance' must be a number"),
+    ("validate-model", {"min-dispersion-ratio": True}, "config key 'min-dispersion-ratio' must be a number"),
+    ("calibrate", {"hurst-min": "abc"}, "config key 'hurst-min' must be a number"),
+    ("calibrate", {"hurst-max": True}, "config key 'hurst-max' must be a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, setting, named",
+    BAD_SETTINGS,
+    ids=[f"{command}-{key}-{type(value).__name__}-{value}" for command, setting, _ in BAD_SETTINGS
+         for key, value in setting.items()],
+)
+def test_config_values_of_the_wrong_type_name_the_key(
+    tmp_path, capsys, monkeypatch, command, setting, named
+):
+    monkeypatch.setattr(cli.dhm_mod, "simulate_returns", _no_work)
+    monkeypatch.setattr(cli, "calibrate_threshold", _no_work)
+    monkeypatch.setattr(cli, "load_prices_csv", _no_work)
+    if command == "simulate":
+        path = write_model_config(tmp_path)
+        config = json.loads(path.read_text())
+    else:
+        path, config = tmp_path / "config.json", {"data": str(tmp_path / "prices.csv")}
+    path.write_text(json.dumps({**config, **setting}))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_integer_flag_over_a_bad_config_value_wins(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"count": 12.5, "seed": "x"}))
+    out = tmp_path / "out"
+    rc = main(["calibrate", "--config", str(config), "--count", "10", "--length", "400",
+               "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "threshold.json").read_text())["count"] == 10
+
+
 # --- argument handling ---
 
 

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +349,36 @@ def test_panel_rejects_nan():
     values[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ReturnsPanel(assets=("a", "b"), times=(0, 1), values=values)
+
+
+@pytest.mark.parametrize(
+    "cells", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "inf", "-inf", "inf-pair"]
+)
+def test_panel_rejects_each_kind_of_non_finite_entry(cells):
+    values = np.ones((4, 3))
+    values.flat[[5, 10][: len(cells)]] = cells
+    with pytest.raises(ValueError, match="non-finite"):
+        ReturnsPanel(assets=("a", "b", "c"), times=(0, 1, 2, 3), values=values)
+
+
+def test_panel_accepts_finite_entries_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        panel = ReturnsPanel(assets=("a", "b"), times=(0, 1, 2), values=np.full((3, 2), 1e308))
+    assert panel.values.max() == 1e308
+
+
+def test_panel_finiteness_check_allocates_no_panel_sized_temporary():
+    values = np.ones((100_000, 16))
+    assets = tuple(f"a{j}" for j in range(16))
+    times = tuple(range(100_000))
+    tracemalloc.start()
+    try:
+        ReturnsPanel(assets=assets, times=times, values=values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * values.nbytes
 
 
 # --- log returns ---

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hiermf import scaling
+from hiermf.market_data import ReturnsPanel, WindowSpec, rolling_windows
 from hiermf.scaling import (
     FbmSpec,
     _circulant_sample,
@@ -159,18 +160,25 @@ def reference_fit(moments, q_values=(1.0, 2.0), lmax_range=(5, 19)):
     return slopes, h_per_fit.mean(axis=1), h_per_fit.std(axis=1, ddof=1)
 
 
-def random_log_price_panel(n_times, n_assets, seed):
+def returns_panel_of(n_times, n_assets, seed, burst_share=0.0):
+    """Returns with common volatility bursts and per-asset scales; the first
+    `burst_share` of the rows can be made 100x as volatile."""
     rng = np.random.default_rng(seed)
-    vol = np.exp(rng.standard_normal((n_times - 1, 1)))  # common volatility bursts
+    vol = np.exp(rng.standard_normal((n_times, 1)))
     scale = 10.0 ** rng.uniform(-4, 0, size=n_assets)
-    returns = scale * vol * rng.standard_normal((n_times - 1, n_assets))
-    return np.vstack([np.zeros(n_assets), np.cumsum(returns, axis=0)])
+    values = scale * vol * rng.standard_normal((n_times, n_assets))
+    values[: int(burst_share * n_times)] *= 100.0
+    return ReturnsPanel(assets=[f"a{j}" for j in range(n_assets)], times=range(n_times), values=values)
+
+
+def random_log_price_panel(n_times, n_assets, seed):
+    return returns_panel_of(n_times - 1, n_assets, seed).log_price_paths()
 
 
 @pytest.mark.parametrize("n_times,n_assets,seed", [(753, 50, 0), (253, 400, 1), (4027, 50, 2)])
 def test_batched_ghe_matches_per_column_loop(n_times, n_assets, seed):
     panel = random_log_price_panel(n_times, n_assets, seed)
-    moments = _moment_table(np.ascontiguousarray(panel.T), (1.0, 2.0), range(1, 20))
+    (moments,) = _moment_table(np.ascontiguousarray(panel.T), (1.0, 2.0), range(1, 20))
     estimates = estimate_ghe(panel)
     assert len(estimates) == n_assets
     for j, est in enumerate(estimates):
@@ -196,6 +204,106 @@ def test_batched_zero_moment_names_column():
     panel[:, 3] = 1.5
     with pytest.raises(ValueError, match=r"M\(q=1.0, l=1\) = 0 in column 3"):
         estimate_ghe(panel)
+
+
+# --- windowed GHE against per-window estimates ---
+
+
+def reference_moment_table(series, q_values, scales):
+    """_moment_table before windows: M[j, i, k] over the whole of each row."""
+    n_assets, n_times = series.shape
+    sums = np.empty((n_assets, len(q_values), len(scales)))
+    inc = np.empty((n_assets, n_times - 1))
+    powered = np.empty_like(inc)
+    for k, scale in enumerate(scales):
+        width = n_times - scale
+        d = inc[:, :width]
+        np.subtract(series[:, scale:], series[:, :width], out=d)
+        np.abs(d, out=d)
+        for i, q in enumerate(q_values):
+            out = d if i == len(q_values) - 1 else powered[:, :width]
+            term = d if q == 1.0 else np.power(d, q, out=out)
+            np.add.reduce(term, axis=1, out=sums[:, i, k])
+    return sums / (n_times - np.asarray(scales, dtype=float))
+
+
+@pytest.mark.parametrize("n_times,n_assets,seed", [(4026, 50, 0), (1259, 400, 1), (600, 7, 2)])
+def test_single_window_moments_equal_the_old_kernel_bit_for_bit(n_times, n_assets, seed):
+    series = np.ascontiguousarray(returns_panel_of(n_times, n_assets, seed).log_price_paths().T)
+    for q_values in ((1.0, 2.0), (0.5, 1.0, 3.0), (2.0,)):
+        (table,) = _moment_table(series, q_values, range(1, 20))
+        assert np.array_equal(table, reference_moment_table(series, q_values, range(1, 20)))
+
+
+def test_single_whole_window_estimate_equals_the_plain_estimate_bit_for_bit():
+    paths = returns_panel_of(1000, 9, 3).log_price_paths()
+    (windowed,) = estimate_ghe(paths, windows=WindowSpec(length=1000, count=1))
+    for est, plain in zip(windowed, estimate_ghe(paths)):
+        assert np.array_equal(est.slopes, plain.slopes)
+        assert est.h_values == plain.h_values
+        assert est.std_errors == plain.std_errors
+
+
+WINDOW_CASES = {
+    "panel50": (4026, 50, 752, 50, 0.0),
+    "wide400": (1259, 400, 252, 10, 0.0),
+    "volatile_start": (4026, 50, 752, 50, 0.4),
+    "count_1": (1000, 5, 300, 1, 0.0),
+    "abutting": (1000, 5, 250, 4, 0.4),  # stride 250 = length
+    "uneven_last_jump": (1000, 5, 300, 4, 0.4),  # jumps 233, 233, 234
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES, ids=list(WINDOW_CASES))
+def test_windowed_ghe_matches_per_window_estimates(case):
+    n_times, n_assets, length, count, burst_share = WINDOW_CASES[case]
+    panel = returns_panel_of(n_times, n_assets, 5, burst_share)
+    spec = WindowSpec(length=length, count=count)
+    windowed = estimate_ghe(panel.log_price_paths(), windows=spec)
+    windows = rolling_windows(panel, spec)
+    assert len(windowed) == len(windows) == count
+    for estimates, window in zip(windowed, windows):
+        assert len(estimates) == n_assets
+        for est, alone in zip(estimates, estimate_ghe(window.log_price_paths())):
+            assert np.max(np.abs(np.subtract(est.h_values, alone.h_values))) <= 1e-12
+            assert np.max(np.abs(np.subtract(est.std_errors, alone.std_errors))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["abutting", "uneven_last_jump"])
+def test_window_moments_are_the_old_kernel_on_each_slice(case):
+    n_times, n_assets, length, count, burst_share = WINDOW_CASES[case]
+    series = np.ascontiguousarray(
+        returns_panel_of(n_times, n_assets, 6, burst_share).log_price_paths().T
+    )
+    starts = WindowSpec(length=length, count=count).starts(n_times)
+    tables = _moment_table(series, (1.0, 2.0), range(1, 20), starts, length + 1)
+    for table, s in zip(tables, starts):
+        window = np.ascontiguousarray(series[:, s : s + length + 1])
+        assert np.array_equal(table, reference_moment_table(window, (1.0, 2.0), range(1, 20)))
+
+
+def test_windowed_series_gives_one_estimate_per_window():
+    path = returns_panel_of(800, 1, 7).log_price_paths()
+    spec = WindowSpec(length=400, count=3)
+    windowed = estimate_ghe(path[:, 0], windows=spec)
+    assert [est.h_values for est in windowed] == [
+        columns[0].h_values for columns in estimate_ghe(path, windows=spec)
+    ]
+
+
+def test_windowed_zero_moment_names_window_and_column():
+    panel = returns_panel_of(1000, 5, 8)
+    values = panel.values.copy()
+    values[520:, 3] = 0.0  # window 3 is flat, window 2 still moves in its first 20 rows
+    panel = ReturnsPanel(assets=panel.assets, times=panel.times, values=values)
+    with pytest.raises(ValueError, match=r"M\(q=1.0, l=1\) = 0 in window 3, column 3"):
+        estimate_ghe(panel.log_price_paths(), windows=WindowSpec(length=250, count=4))
+
+
+def test_windows_shorter_than_the_fit_are_rejected():
+    paths = returns_panel_of(1000, 2, 9).log_price_paths()
+    with pytest.raises(ValueError, match=r"series length 189 < 10 \* max scale 19"):
+        estimate_ghe(paths, windows=WindowSpec(length=188, count=6))
 
 
 # --- fBm generation ---
