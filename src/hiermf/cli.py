@@ -42,8 +42,22 @@ from hiermf.hierarchy import (
     serialize_dendrogram,
 )
 from hiermf.market_data import CsvSchema, ReturnsPanel, WindowSpec, load_prices_csv, returns_panel, rolling_windows
-from hiermf.scaling import MIN_SERIES_LENGTH, calibrate_threshold, delta_h, estimate_ghe
-from hiermf.util import derived_rng, format_float, parallel_map, write_csv, write_json_atomic
+from hiermf.scaling import (
+    MIN_SERIES_LENGTH,
+    DegenerateMomentError,
+    calibrate_threshold,
+    delta_h,
+    estimate_ghe,
+)
+from hiermf.util import (
+    checked_int,
+    checked_number,
+    derived_rng,
+    format_float,
+    parallel_map,
+    write_csv,
+    write_json_atomic,
+)
 
 
 class UsageError(Exception):
@@ -56,14 +70,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Manifest:
-    """Collects stage timings, warnings, and outputs; written atomically last."""
+    """Collects the settings, stage timings and outputs of a run; written atomically last."""
 
-    def __init__(self, out_dir: Path, command: str, config: dict):
+    def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
         self.command = command
-        self.config = config
+        self.config: dict = {}
         self.stages: dict[str, float] = {}
-        self.warnings: list[str] = []
         self.outputs: list[str] = []
         self._t0 = time.perf_counter()
         self._stage_start = self._t0
@@ -73,14 +86,12 @@ class Manifest:
         self.stages[name] = round(now - self._stage_start, 6)
         self._stage_start = now
 
-    def warn(self, message: str):
-        self.warnings.append(message)
+    def record(self, name: str | Path) -> Path:
+        """Path of output `name`, given relative to the run directory, listed as an output."""
+        self.outputs.append(str(name))
+        return self.out_dir / name
 
-    def record(self, path: Path) -> Path:
-        self.outputs.append(str(path.relative_to(self.out_dir)))
-        return path
-
-    def write(self):
+    def write(self, warning_messages: list[str]):
         digest = hashlib.sha256(
             json.dumps(self.config, sort_keys=True, default=str).encode()
         ).hexdigest()
@@ -91,7 +102,7 @@ class Manifest:
             "config_sha256": digest,
             "wall_clock_seconds": round(time.perf_counter() - self._t0, 6),
             "stage_seconds": self.stages,
-            "warnings": self.warnings,
+            "warnings": warning_messages,
             "outputs": sorted(self.outputs),
         }
         write_json_atomic(self.out_dir / "manifest.json", payload)
@@ -121,26 +132,14 @@ def _setting(args, config: dict, name: str, default=None):
 def _count_setting(
     args, config: dict, name: str, default: int | None, minimum: int | None = None
 ) -> int:
-    """Integer setting, at least `minimum` unless that is None; errors name the flag or config key.
-
-    A bool or a float is not an integer here: JSON `true` or `2.7` is an error, not 1 or 2.
-    """
-    value = _setting(args, config, name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{_source(args, name)} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise UsageError(f"{_source(args, name)} must be >= {minimum}, got {value}")
-    return value
+    """Integer setting, at least `minimum` if one is given; errors name the flag or config key."""
+    return checked_int(_setting(args, config, name, default), _source(args, name), minimum)
 
 
 def _float_setting(args, config: dict, name: str, default: float | None) -> float | None:
     """Real-number setting, None when unset with no default; errors name the flag or config key."""
     value = _setting(args, config, name, default)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise UsageError(f"{_source(args, name)} must be a number, got {value!r}")
-    return float(value)
+    return None if value is None else checked_number(value, _source(args, name))
 
 
 def _source(args, name: str) -> str:
@@ -159,12 +158,6 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out or "hiermf-out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_panel(args, config: dict, min_rows: int) -> tuple[ReturnsPanel, dict]:
@@ -210,28 +203,45 @@ def _ghe_table(panel: ReturnsPanel) -> dict[str, dict]:
     return table
 
 
-def cmd_analyze(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args)
+def _unfittable(
+    exc: DegenerateMomentError, data: str, panel: ReturnsPanel,
+    windows: list[ReturnsPanel] | None = None,
+) -> UsageError:
+    """The scaling error restated with the price file, the ticker and the window's dates."""
+    where = f"{data}: ticker {panel.assets[exc.column]!r}"
+    if exc.window is not None:
+        times = windows[exc.window].times
+        where += f" in window {exc.window} ({times[0]} to {times[-1]})"
+    return UsageError(
+        f"{where} has no price change at lag {exc.scale}, so M(q={exc.q}, l={exc.scale}) = 0 "
+        "and its Hurst exponents cannot be fitted"
+    )
+
+
+def cmd_analyze(args, config: dict, manifest: Manifest) -> int:
     threshold = _float_setting(args, config, "threshold", 0.015)
     theta = _float_setting(args, config, "theta", None)
     method = _setting(args, config, "method", "average")
     tree_file = _setting(args, config, "tree")
-    manifest = Manifest(out, "analyze", {
-        "data": _setting(args, config, "data"),
+    data = _setting(args, config, "data")
+    manifest.config = {
+        "data": data,
         "threshold": threshold,
         "method": method,
         "tree": tree_file,
         "theta": theta,
         "seed": args.seed,
-    })
+    }
 
     # the Hurst fit needs MIN_SERIES_LENGTH log-prices, one more than returns
     panel, ingestion = _load_panel(args, config, MIN_SERIES_LENGTH - 1)
     manifest.stage("load")
 
     scheme = exp_weights(panel.n_times, panel.n_times / 3.0 if theta is None else theta)
-    corr = weighted_pearson_matrix(panel, scheme)
+    try:
+        corr = weighted_pearson_matrix(panel, scheme)
+    except ValueError as exc:  # a zero-variance error names the ticker but not the file
+        raise UsageError(f"{data}: {exc}") from exc
     if tree_file:
         try:
             tree = parse_dendrogram(tree_file)
@@ -244,7 +254,10 @@ def cmd_analyze(args) -> int:
     orders = order_profile(tree)
     manifest.stage("dependence")
 
-    ghe = _ghe_table(panel)
+    try:
+        ghe = _ghe_table(panel)
+    except DegenerateMomentError as exc:
+        raise _unfittable(exc, data, panel) from exc
     if threshold > 0:
         retained = [a for a in panel.assets if ghe[a]["dH12"] > threshold]
     else:
@@ -262,11 +275,12 @@ def cmd_analyze(args) -> int:
         trend = trend_test(stats.orders, stats.means)
         trend_payload = trend.to_json()
     else:
-        trend_payload = {"note": "fewer than 3 distinct orders; trend test skipped"}
-        manifest.warn("fewer than 3 distinct orders; trend test skipped")
+        note = "fewer than 3 distinct orders; trend test skipped"
+        trend_payload = {"note": note}
+        warnings.warn(note)
 
     write_csv(
-        manifest.record(out / "per_asset.csv"),
+        manifest.record("per_asset.csv"),
         ["asset", "H1", "H2", "dH12", "se_H1", "se_H2", "order", "retained"],
         [
             [a, ghe[a]["H1"], ghe[a]["H2"], ghe[a]["dH12"], ghe[a]["se_H1"],
@@ -275,25 +289,24 @@ def cmd_analyze(args) -> int:
         ],
     )
     write_csv(
-        manifest.record(out / "orders.csv"),
+        manifest.record("orders.csv"),
         ["asset", "n"],
         [[a, orders[a]] for a in panel.assets],
     )
     write_csv(
-        manifest.record(out / "order_stats.csv"),
+        manifest.record("order_stats.csv"),
         ["order", "mean_dH", "std", "std_error", "count"],
         list(stats.rows()),
     )
-    write_json_atomic(manifest.record(out / "trend_test.json"), trend_payload)
-    write_correlation_csv(corr, manifest.record(out / "correlation.csv"))
+    write_json_atomic(manifest.record("trend_test.json"), trend_payload)
+    write_correlation_csv(corr, manifest.record("correlation.csv"))
     write_json_atomic(
-        manifest.record(out / "correlation.meta.json"),
+        manifest.record("correlation.meta.json"),
         {"delta_t": scheme.delta_t, "theta": scheme.theta},
     )
-    write_json_atomic(manifest.record(out / "ingestion.json"), ingestion, indent=None)
-    serialize_dendrogram(tree, manifest.record(out / "tree.json"))
+    write_json_atomic(manifest.record("ingestion.json"), ingestion, indent=None)
+    serialize_dendrogram(tree, manifest.record("tree.json"))
     manifest.stage("write")
-    manifest.write()
     return 0
 
 
@@ -340,16 +353,14 @@ def _simulate_one(item: tuple[int, dict], out_dir: str) -> str:
     return str(run_dir)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, config: dict, manifest: Manifest) -> int:
     if not args.config:
         raise UsageError("simulate requires --config pointing at a model spec")
-    config = _load_config_file(args.config)
-    out = _out_dir(args)
     repeat = _count_setting(args, config, "repeat", 1, 1)
     if _setting(args, config, "seed") is None:
         raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
     base_seed = _count_setting(args, config, "seed", None, 0)
-    manifest = Manifest(out, "simulate", {**config, "seed": base_seed, "repeat": repeat})
+    manifest.config = {**config, "seed": base_seed, "repeat": repeat}
 
     base_dir = Path(args.config).resolve().parent
     # validate the spec once up front so errors surface before any run
@@ -363,32 +374,30 @@ def cmd_simulate(args) -> int:
         {"config": config, "base_dir": str(base_dir), "seed": base_seed + r}
         for r in range(repeat)
     ]
-    worker = functools.partial(_simulate_one, out_dir=str(out))
+    worker = functools.partial(_simulate_one, out_dir=str(manifest.out_dir))
     run_dirs = parallel_map(worker, list(enumerate(payloads)), jobs=args.jobs)
     for d in run_dirs:
         for f in sorted(Path(d).iterdir()):
-            manifest.record(f)
+            manifest.record(f.relative_to(manifest.out_dir))
     manifest.stage("simulate")
-    manifest.write()
     return 0
 
 
-def cmd_rolling(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args)
+def cmd_rolling(args, config: dict, manifest: Manifest) -> int:
     length = _count_setting(args, config, "window-length", 752)
     count = _count_setting(args, config, "window-count", 50, 1)
     theta = _float_setting(args, config, "theta", 250.0)
     method = _setting(args, config, "method", "average")
-    manifest = Manifest(out, "rolling", {
-        "data": _setting(args, config, "data"),
+    data = _setting(args, config, "data")
+    manifest.config = {
+        "data": data,
         "window-length": length, "window-count": count,
         "theta": theta, "method": method,
-    })
+    }
     # a window of `length` returns gives length + 1 log-prices to estimate_ghe
     if length + 1 < MIN_SERIES_LENGTH:
         raise UsageError(
-            f"--window-length {length} is too short for the Hurst fit; "
+            f"{_source(args, 'window-length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
         )
 
@@ -398,12 +407,15 @@ def cmd_rolling(args) -> int:
         windows = rolling_windows(panel, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    write_json_atomic(manifest.record(out / "ingestion.json"), ingestion, indent=None)
+    write_json_atomic(manifest.record("ingestion.json"), ingestion, indent=None)
     manifest.stage("load")
 
     scheme = exp_weights(length, theta)
     # one pass over the whole panel shares each scale's increments across windows
-    window_ghe = estimate_ghe(panel.log_price_paths(), windows=spec)
+    try:
+        window_ghe = estimate_ghe(panel.log_price_paths(), windows=spec)
+    except DegenerateMomentError as exc:
+        raise _unfittable(exc, data, panel, windows) from exc
     rows = []
     for w_index, (window, estimates) in enumerate(zip(windows, window_ghe)):
         corr = weighted_pearson_matrix(window, scheme)
@@ -421,18 +433,17 @@ def cmd_rolling(args) -> int:
     manifest.stage("windows")
 
     write_csv(
-        manifest.record(out / "rolling.csv"),
+        manifest.record("rolling.csv"),
         ["window", "start", "end", "rho_mean", "rho_q025", "rho_q25",
          "rho_q75", "rho_q975", "n_clusters", "mean_dH", "mean_order"],
         rows,
     )
     write_json_atomic(
-        manifest.record(out / "rolling.meta.json"),
+        manifest.record("rolling.meta.json"),
         {"cluster_criterion": "largest-gap cut on the linkage dendrogram",
          "theta": theta, "window_length": length, "window_count": count},
     )
     manifest.stage("write")
-    manifest.write()
     return 0
 
 
@@ -533,9 +544,7 @@ def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float 
     }
 
 
-def cmd_validate_model(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args)
+def cmd_validate_model(args, config: dict, manifest: Manifest) -> int:
     seed = _count_setting(args, config, "seed", 0, 0)
     steps = _count_setting(args, config, "steps", 1_000_000, 2)
     # the default band is calibrated at 1e6 steps; scale it for shorter runs
@@ -548,13 +557,14 @@ def cmd_validate_model(args) -> int:
             "(the default tolerance is, from 101 steps on)"
         )
     n_trees = _count_setting(args, config, "trees", 3, 1)
-    length = _count_setting(args, config, "length", 4026)
+    # two steps are the fewest a correlation can be measured on
+    length = _count_setting(args, config, "length", 4026, 2)
     n_seeds = _count_setting(args, config, "dispersion-seeds", 3, 1)
     min_ratio = _float_setting(args, config, "min-dispersion-ratio", 1.0)
-    manifest = Manifest(out, "validate-model", {
+    manifest.config = {
         "seed": seed, "tolerance": tolerance, "steps": steps, "trees": n_trees,
         "length": length, "dispersion-seeds": n_seeds, "min-dispersion-ratio": min_ratio,
-    })
+    }
 
     checks = []
     checks.append(check_equivalence(n_trees, steps, seed, tolerance))
@@ -566,45 +576,33 @@ def cmd_validate_model(args) -> int:
 
     passed = all(c["passed"] for c in checks)
     write_json_atomic(
-        manifest.record(out / "validation.json"),
+        manifest.record("validation.json"),
         {"passed": passed, "checks": checks},
     )
-    manifest.write()
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['check']}")
     return 0 if passed else 2
 
 
-def cmd_calibrate(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args)
-    count = _count_setting(args, config, "count", 1000)
+def cmd_calibrate(args, config: dict, manifest: Manifest) -> int:
+    count = _count_setting(args, config, "count", 1000, 10)
     hurst_min = _float_setting(args, config, "hurst-min", 0.1)
     hurst_max = _float_setting(args, config, "hurst-max", 0.9)
     length = _count_setting(args, config, "length", 4026)
     seed = _count_setting(args, config, "seed", 0, 0)
-    manifest = Manifest(out, "calibrate", {
+    manifest.config = {
         "count": count, "hurst-min": hurst_min, "hurst-max": hurst_max,
         "length": length, "seed": seed,
-    })
+    }
     if length < MIN_SERIES_LENGTH:
         raise UsageError(
-            f"--length {length} is too short for the Hurst fit; need at least {MIN_SERIES_LENGTH}"
+            f"{_source(args, 'length')} {length} is too short for the Hurst fit; "
+            f"need at least {MIN_SERIES_LENGTH}"
         )
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            calibration = calibrate_threshold(
-                count, (hurst_min, hurst_max), length, seed, jobs=args.jobs
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    for w in caught:
-        manifest.warn(str(w.message))
+    calibration = calibrate_threshold(count, (hurst_min, hurst_max), length, seed, jobs=args.jobs)
     manifest.stage("calibrate")
-    write_json_atomic(manifest.record(out / "threshold.json"), calibration.to_json())
-    manifest.write()
+    write_json_atomic(manifest.record("threshold.json"), calibration.to_json())
     print(f"threshold = {format_float(calibration.threshold)}")
     return 0
 
@@ -616,16 +614,20 @@ def build_parser() -> _Parser:
     common.add_argument("--jobs", type=_worker_count, default=1, help="worker processes")
     common.add_argument("--out", help="output directory (default hiermf-out)")
 
+    prices = argparse.ArgumentParser(add_help=False)
+    prices.add_argument("--data", help="prices CSV (one date column, one column per ticker)")
+    prices.add_argument("--date-column")
+    prices.add_argument("--delimiter")
+    prices.add_argument("--method", choices=["single", "average", "complete"])
+
     parser = _Parser(prog="hiermf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="orders + multiscaling on a price panel")
-    p.add_argument("--data", help="prices CSV (one date column, one column per ticker)")
-    p.add_argument("--date-column")
-    p.add_argument("--delimiter")
+    p = sub.add_parser(
+        "analyze", parents=[common, prices], help="orders + multiscaling on a price panel"
+    )
     p.add_argument("--threshold", type=float, help="dH significance cutoff; <= 0 disables")
     p.add_argument("--theta", type=float, help="weight decay (default rows/3)")
-    p.add_argument("--method", choices=["single", "average", "complete"])
     p.add_argument("--tree", help="import a dendrogram JSON instead of clustering")
     p.set_defaults(func=cmd_analyze)
 
@@ -633,14 +635,12 @@ def build_parser() -> _Parser:
     p.add_argument("--repeat", type=int, help="independent realizations (default 1)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("rolling", parents=[common], help="windowed dependence/scaling report")
-    p.add_argument("--data")
-    p.add_argument("--date-column")
-    p.add_argument("--delimiter")
+    p = sub.add_parser(
+        "rolling", parents=[common, prices], help="windowed dependence/scaling report"
+    )
     p.add_argument("--window-length", type=int)
     p.add_argument("--window-count", type=int)
     p.add_argument("--theta", type=float)
-    p.add_argument("--method", choices=["single", "average", "complete"])
     p.set_defaults(func=cmd_rolling)
 
     p = sub.add_parser("validate-model", parents=[common], help="simulator-vs-closed-form checks")
@@ -659,14 +659,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _messages(caught: list[warnings.WarningMessage]) -> list[str]:
+    """Each distinct warning message once, in first-seen order."""
+    return list(dict.fromkeys(str(w.message) for w in caught))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Run one command; its warnings go to the manifest, or to stderr if it fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = build_parser().parse_args(argv)
+            config = _load_config_file(args.config)
+            out = Path(args.out or "hiermf-out")
+            out.mkdir(parents=True, exist_ok=True)
+            manifest = Manifest(out, args.command)
+            status = args.func(args, config, manifest)
+        except (UsageError, ValueError) as exc:
+            for message in _messages(caught):
+                print(f"warning: {message}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    manifest.write(_messages(caught))
+    return status
 
 
 if __name__ == "__main__":

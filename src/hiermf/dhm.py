@@ -23,7 +23,7 @@ from hiermf.dependence import CorrelationMatrix, _read_labeled_matrix
 from hiermf.hierarchy import Dendrogram, leaf_path, parse_dendrogram
 from hiermf.market_data import ReturnsPanel
 from hiermf.scaling import _circulant_sample, _embedding_eigenvalues
-from hiermf.util import derived_rng
+from hiermf.util import checked_int, checked_number, derived_rng
 
 __all__ = [
     "RiskTree",
@@ -414,7 +414,7 @@ def _noise_from_config(noise_cfg, leaves: tuple[str, ...], base_dir):
     if noise_cfg is None or noise_cfg.get("identity"):
         return CorrelationMatrix(assets=leaves, values=np.eye(len(leaves))), None
     if "constant" in noise_cfg:
-        c = float(noise_cfg["constant"])
+        c = checked_number(noise_cfg["constant"], "model config key 'noise.constant'")
         values = np.full((len(leaves), len(leaves)), c)
         np.fill_diagonal(values, 1.0)
         return CorrelationMatrix(assets=leaves, values=values), None
@@ -462,6 +462,8 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
     Tree and correlation files resolve relative to `base_dir`. Missing node
     probabilities draw from the regime's p_range with a stream derived from
     the seed; by default a node id seen in the previous regime keeps its value.
+    Integer keys must hold JSON integers and real ones JSON numbers (never a
+    bool or a string); an error names the key and, inside a regime, its index.
     """
     base_dir = Path(base_dir)
     for key in ("length", "regimes"):
@@ -470,32 +472,35 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
     seed = seed_override if seed_override is not None else config.get("seed")
     if seed is None:
         raise ValueError("model config needs a seed")
-    length = int(config["length"])
+    length = checked_int(config["length"], "model config key 'length'")
 
     logvol_cfg = config.get("logvol", {})
     if logvol_cfg is None:
         logvol = None
     else:
-        logvol = LogVolSpec(
-            lam=float(logvol_cfg.get("lambda", 0.2)),
-            horizon=int(logvol_cfg.get("horizon", 800)),
-        )
+        lam = checked_number(logvol_cfg.get("lambda", 0.2), "model config key 'logvol.lambda'")
+        horizon = checked_int(logvol_cfg.get("horizon", 800), "model config key 'logvol.horizon'")
+        logvol = LogVolSpec(lam=lam, horizon=horizon)
 
     regimes = []
     previous: dict[int, float] | None = None
     for k, regime_cfg in enumerate(config["regimes"]):
         if "tree" not in regime_cfg or "duration" not in regime_cfg:
             raise ValueError(f"regime {k} needs 'tree' and 'duration'")
+        duration = checked_int(regime_cfg["duration"], f"regime {k} key 'duration'")
         tree = parse_dendrogram(base_dir / regime_cfg["tree"])
         p_range = regime_cfg.get("p_range")
         if p_range is not None:
-            p_range = (float(p_range[0]), float(p_range[1]))
+            name = f"regime {k} key 'p_range'"
+            if not isinstance(p_range, (list, tuple)) or len(p_range) != 2:
+                raise ValueError(f"{name} must be [low, high], got {p_range!r}")
+            p_range = tuple(checked_number(p, f"{name} entry {i}") for i, p in enumerate(p_range))
         inherit = previous if regime_cfg.get("inherit_previous", True) else None
         risk_tree = _risk_tree_from_config(
             tree, p_range, inherit, derived_rng(int(seed), 3, k)
         )
         previous = {i: risk_tree.probability(i) for i in risk_tree.node_ids}
-        regimes.append(Regime(tree=risk_tree, duration=int(regime_cfg["duration"])))
+        regimes.append(Regime(tree=risk_tree, duration=duration))
 
     leaves = tuple(sorted(regimes[0].tree.leaves))
     noise, variances = _noise_from_config(config.get("noise"), leaves, base_dir)

@@ -21,6 +21,7 @@ from hiermf.util import derived_rng, parallel_map
 
 __all__ = [
     "GheEstimate",
+    "DegenerateMomentError",
     "FbmSpec",
     "ThresholdCalibration",
     "DEFAULT_Q",
@@ -60,6 +61,19 @@ class GheEstimate:
     @property
     def delta_h(self) -> float:
         return delta_h(self)
+
+
+class DegenerateMomentError(ValueError):
+    """A q-moment of exactly 0: the column's increments vanish at that scale.
+
+    `column` indexes the fitted stack's columns and `window` its windows
+    (None for a stack without windows), so a caller can name the series.
+    """
+
+    def __init__(self, q: float, scale: int, column: int, window: int | None):
+        place = f"column {column}" if window is None else f"window {window}, column {column}"
+        super().__init__(f"degenerate q-moment M(q={q}, l={scale}) = 0 in {place}")
+        self.q, self.scale, self.column, self.window = q, scale, column, window
 
 
 def delta_h(est: GheEstimate) -> float:
@@ -146,11 +160,9 @@ def ghe_from_moments(
         return ghe_from_moments(moments[None], q_values, lmax_range)[0]
     zero = np.argwhere(moments[..., :hi] == 0.0)
     if zero.size:
-        *where, qi, li = zero[0]
-        place = f"column {where[-1]}"
-        if len(where) == 2:
-            place = f"window {where[0]}, {place}"
-        raise ValueError(f"degenerate q-moment M(q={q_values[qi]}, l={li + 1}) = 0 in {place}")
+        *where, qi, li = zero[0].tolist()
+        window = where[0] if len(where) == 2 else None
+        raise DegenerateMomentError(q_values[qi], li + 1, where[-1], window)
 
     # column k of `weights` holds the least-squares slope weights over l = 1..lmax
     log_l = np.log(np.arange(1, hi + 1, dtype=float))

@@ -1,4 +1,5 @@
-"""Shared plumbing: derived random streams, optional process parallelism, atomic writes."""
+"""Shared plumbing: derived random streams, optional process parallelism, checked
+config numbers, atomic writes."""
 
 from __future__ import annotations
 
@@ -50,6 +51,26 @@ def write_json_atomic(path: str | os.PathLike, payload: Any, indent: int | None 
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
+    """`value` if it is an integer of at least `minimum`; errors name `name`.
+
+    A bool or a float is not an integer here: JSON `true` or `2.7` is an
+    error, not 1 or 2, and so is a numeric string such as "400".
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def checked_number(value: Any, name: str) -> float:
+    """`value` as a float if it is an int or a float but not a bool; errors name `name`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def format_float(x: float) -> str:

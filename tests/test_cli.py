@@ -70,6 +70,12 @@ def test_calibrate_rejects_short_length_up_front(tmp_path, capsys):
     assert "--length 50" in capsys.readouterr().err
 
 
+def test_calibrate_names_count_below_ten(tmp_path, capsys):
+    rc = main(["calibrate", "--count", "5", "--length", "400", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --count must be >= 10, got 5\n"
+
+
 def test_calibrate_low_count_warns_in_manifest(tmp_path):
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as leaked:
@@ -171,6 +177,43 @@ def test_simulate_bad_durations(tmp_path):
         tmp_path, length=100, regimes=[{"tree": "tree.json", "duration": 60, "p_range": [0.4, 0.6]}]
     )
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+def _set_path(config, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        config = config[int(key) if key.isdigit() else key]
+    config[last] = value
+
+
+BAD_MODEL_SPECS = [
+    ({"length": True, "regimes.0.duration": True},
+     "model config key 'length' must be an integer, got True"),
+    ({"length": 300.9}, "model config key 'length' must be an integer, got 300.9"),
+    ({"length": "300"}, "model config key 'length' must be an integer, got '300'"),
+    ({"regimes.0.duration": 300.0}, "regime 0 key 'duration' must be an integer, got 300.0"),
+    ({"logvol.horizon": 800.5}, "model config key 'logvol.horizon' must be an integer, got 800.5"),
+    ({"logvol.lambda": "0.2"}, "model config key 'logvol.lambda' must be a number, got '0.2'"),
+    ({"regimes.0.p_range": ["0.4", 0.6]},
+     "regime 0 key 'p_range' entry 0 must be a number, got '0.4'"),
+    ({"noise.constant": "0.25"}, "model config key 'noise.constant' must be a number, got '0.25'"),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, named", BAD_MODEL_SPECS,
+    ids=["-".join(f"{k}={v!r}" for k, v in changes.items()) for changes, _ in BAD_MODEL_SPECS],
+)
+def test_model_spec_numbers_of_the_wrong_type_name_the_key(tmp_path, capsys, changes, named):
+    path = write_model_config(tmp_path)
+    config = json.loads(path.read_text())
+    for dotted, value in changes.items():
+        _set_path(config, dotted, value)
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: bad model spec: {named}\n"
+    assert not (out / "run_0000").exists()
 
 
 def test_simulate_rejects_mislabeled_noise_rows(tmp_path, capsys):
@@ -330,6 +373,47 @@ def test_short_panel_without_drops_reports_row_count(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {data}: 149 aligned returns, need at least 189\n"
 
 
+def write_price_csv_setting_t2(path, t2_price):
+    """1,000 rows of 4 tickers; T2's cell on row t becomes t2_price(t) unless that is None."""
+    write_price_csv(path, n_assets=4, length=1000)
+    lines = path.read_text().splitlines()
+    for t in range(len(lines) - 1):
+        cells = lines[1 + t].split(",")
+        cells[3] = t2_price(t) or cells[3]
+        lines[1 + t] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_rolling_names_file_ticker_and_dates_of_a_flat_window(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv_setting_t2(data, lambda t: "100.0" if t >= 300 else None)
+    rc = main(["rolling", "--data", str(data), "--window-length", "400", "--window-count", "3",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    # window 2 holds the returns dated 10600 to 10999, all of them 0 for T2
+    assert capsys.readouterr().err == (
+        f"error: {data}: ticker 'T2' in window 2 (10600 to 10999) has no price change at lag 1, "
+        "so M(q=1.0, l=1) = 0 and its Hurst exponents cannot be fitted\n"
+    )
+
+
+def test_analyze_names_file_and_ticker_of_a_flat_price(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv_setting_t2(data, lambda t: "100.0")
+    assert main(["analyze", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {data}: zero weighted variance in column 'T2'\n"
+
+
+def test_analyze_names_file_and_ticker_of_a_price_with_no_lag_2_change(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv_setting_t2(data, lambda t: "101.0" if t % 2 else "100.0")
+    assert main(["analyze", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: ticker 'T2' has no price change at lag 2, "
+        "so M(q=1.0, l=2) = 0 and its Hurst exponents cannot be fitted\n"
+    )
+
+
 def test_analyze_reproducible(tmp_path):
     data = tmp_path / "prices.csv"
     write_price_csv(data)
@@ -338,6 +422,24 @@ def test_analyze_reproducible(tmp_path):
     main(args + ["--out", str(tmp_path / "b")])
     for name in ("per_asset.csv", "order_stats.csv", "correlation.csv", "tree.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_analyze_notes_skipped_trend_test_once_in_manifest(tmp_path, capsys):
+    from hiermf.hierarchy import tree_from_leaf_depths
+
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=4)
+    # a balanced tree gives every leaf order 2: one distinct order
+    labels = [f"T{j}" for j in range(4)]
+    serialize_dendrogram(tree_from_leaf_depths([2, 2, 2, 2], labels), tmp_path / "tree.json")
+    out = tmp_path / "out"
+    rc = main(["analyze", "--data", str(data), "--threshold", "0",
+               "--tree", str(tmp_path / "tree.json"), "--out", str(out)])
+    assert rc == 0
+    note = "fewer than 3 distinct orders; trend test skipped"
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == [note]
+    assert json.loads((out / "trend_test.json").read_text()) == {"note": note}
+    assert capsys.readouterr() == ("", "")
 
 
 def test_analyze_missing_data_flag(tmp_path):
@@ -447,6 +549,23 @@ def test_rolling_stationary_panel_is_flat(tmp_path):
     assert max(means) - min(means) < 0.15
 
 
+def test_rolling_warning_raised_per_window_is_listed_once(tmp_path, monkeypatch):
+    original = cli.quantile_summary
+
+    def warning_summary(*args, **kwargs):
+        warnings.warn("probe warning")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "quantile_summary", warning_summary)
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=6, length=400)
+    out = tmp_path / "out"
+    rc = main(["rolling", "--data", str(data), "--window-length", "200", "--window-count", "3",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == ["probe warning"]
+
+
 def test_rolling_infeasible_windows(tmp_path):
     data = tmp_path / "prices.csv"
     write_price_csv(data, length=300)
@@ -511,6 +630,9 @@ def test_validate_model_zero_tolerance_fails(tmp_path):
         ([], {"steps": 50}, "config key 'steps' gives a tolerance of 2.82843;"),
         (["--tolerance", "2"], {}, "--tolerance gives a tolerance of 2;"),
         ([], {"tolerance": 3.5}, "config key 'tolerance' gives a tolerance of 3.5;"),
+        # two steps are the fewest a correlation can be measured on
+        (["--length", "1"], {}, "--length must be >= 2, got 1"),
+        ([], {"length": 0}, "config key 'length' must be >= 2, got 0"),
     ],
 )
 def test_validate_model_rejects_empty_runs_before_simulating(
@@ -556,6 +678,10 @@ BAD_SETTINGS = [
     ("rolling", {"window-length": 200.9}, "config key 'window-length' must be an integer, got 200.9"),
     ("rolling", {"window-count": "5"}, "config key 'window-count' must be an integer"),
     ("rolling", {"window-count": 0}, "config key 'window-count' must be >= 1, got 0"),
+    ("calibrate", {"count": 5}, "config key 'count' must be >= 10, got 5"),
+    # too short for the Hurst fit
+    ("rolling", {"window-length": 100}, "config key 'window-length' 100 is too short"),
+    ("calibrate", {"length": 100}, "config key 'length' 100 is too short"),
     # seeds
     ("validate-model", {"seed": "7"}, "config key 'seed' must be an integer, got '7'"),
     ("validate-model", {"seed": 7.9}, "config key 'seed' must be an integer, got 7.9"),
@@ -608,6 +734,22 @@ def test_integer_flag_over_a_bad_config_value_wins(tmp_path):
                "--seed", "3", "--out", str(out)])
     assert rc == 0
     assert json.loads((out / "threshold.json").read_text())["count"] == 10
+
+
+# --- run skeleton ---
+
+
+def test_warnings_of_a_failed_run_print_once_before_the_error(tmp_path, capsys, monkeypatch):
+    def warn_then_fail(*args, **kwargs):
+        for message in ("first", "second", "first"):
+            warnings.warn(message)
+        raise ValueError("no threshold")
+
+    monkeypatch.setattr(cli, "calibrate_threshold", warn_then_fail)
+    out = tmp_path / "out"
+    assert main(["calibrate", "--count", "10", "--length", "400", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "warning: first\nwarning: second\nerror: no threshold\n"
+    assert not (out / "manifest.json").exists()
 
 
 # --- argument handling ---
