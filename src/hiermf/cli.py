@@ -52,6 +52,8 @@ from hiermf.scaling import (
 from hiermf.util import (
     checked_int,
     checked_number,
+    checked_type,
+    decoded_lines,
     derived_rng,
     format_float,
     parallel_map,
@@ -70,12 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Manifest:
-    """Collects the settings, stage timings and outputs of a run; written atomically last."""
+    """Collects the stage timings and outputs of a run; written atomically last."""
 
     def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
         self.command = command
-        self.config: dict = {}
         self.stages: dict[str, float] = {}
         self.outputs: list[str] = []
         self._t0 = time.perf_counter()
@@ -91,14 +92,14 @@ class Manifest:
         self.outputs.append(str(name))
         return self.out_dir / name
 
-    def write(self, warning_messages: list[str]):
+    def write(self, config: dict, warning_messages: list[str]):
         digest = hashlib.sha256(
-            json.dumps(self.config, sort_keys=True, default=str).encode()
+            json.dumps(config, sort_keys=True, default=str).encode()
         ).hexdigest()
         payload = {
             "version": __version__,
             "command": self.command,
-            "config": self.config,
+            "config": config,
             "config_sha256": digest,
             "wall_clock_seconds": round(time.perf_counter() - self._t0, 6),
             "stage_seconds": self.stages,
@@ -113,7 +114,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.loads("".join(decoded_lines(fh, path)))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
@@ -121,32 +122,56 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _setting(args, config: dict, name: str, default=None):
-    """Flag value if given, else config key, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
+class Settings:
+    """The run's flag-or-config values: the flag if given, else the config key, else the default.
+
+    `read` keeps every value a command read, as checked, for the manifest.
+    """
+
+    def __init__(self, args, config: dict):
+        self.args = args
+        self.config = config
+        self.read: dict = {}
+
+    def _flag(self, name: str):
+        return getattr(self.args, name.replace("-", "_"), None)
+
+    def given(self, name: str) -> bool:
+        """Whether the flag or the config key sets `name`."""
+        return self._flag(name) is not None or name in self.config
+
+    def source(self, name: str) -> str:
+        """How the user set `name`: the flag when given, else the config key."""
+        return f"--{name}" if self._flag(name) is not None else f"config key {name!r}"
+
+    def get(self, name: str, default=None):
+        """The value as given, unchecked."""
+        value = self._flag(name)
+        if value is None:
+            value = self.config.get(name, default)
+        self.read[name] = value
         return value
-    return config.get(name, default)
 
+    def count(self, name: str, default: int | None, minimum: int | None = None) -> int:
+        """Integer setting, at least `minimum` if one is given; errors name the flag or key."""
+        return checked_int(self.get(name, default), self.source(name), minimum)
 
-def _count_setting(
-    args, config: dict, name: str, default: int | None, minimum: int | None = None
-) -> int:
-    """Integer setting, at least `minimum` if one is given; errors name the flag or config key."""
-    return checked_int(_setting(args, config, name, default), _source(args, name), minimum)
+    def number(self, name: str, default: float | None) -> float | None:
+        """Real-number setting, None only when unset with no default."""
+        return self._checked(name, default, checked_number)
 
+    def text(self, name: str, default: str | None = None) -> str | None:
+        """String setting, None only when unset with no default."""
+        return self._checked(
+            name, default, lambda value, source: checked_type(value, str, source, "a string")
+        )
 
-def _float_setting(args, config: dict, name: str, default: float | None) -> float | None:
-    """Real-number setting, None when unset with no default; errors name the flag or config key."""
-    value = _setting(args, config, name, default)
-    return None if value is None else checked_number(value, _source(args, name))
-
-
-def _source(args, name: str) -> str:
-    """How the user set `name`: the flag when given, else the config key."""
-    if getattr(args, name.replace("-", "_"), None) is not None:
-        return f"--{name}"
-    return f"config key {name!r}"
+    def _checked(self, name: str, default, check):
+        value = self.get(name, default)
+        if value is None and default is None:
+            return None
+        self.read[name] = check(value, self.source(name))
+        return self.read[name]
 
 
 def _worker_count(text: str) -> int:
@@ -160,14 +185,15 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _load_panel(args, config: dict, min_rows: int) -> tuple[ReturnsPanel, dict]:
+def _load_panel(
+    data: str | None, settings: Settings, min_rows: int
+) -> tuple[ReturnsPanel, dict]:
     """Aligned scale-1 panel and its ingestion sidecar; fewer than `min_rows` returns is an error."""
-    data = _setting(args, config, "data")
     if not data:
         raise UsageError("no input panel; pass --data or set 'data' in the config")
     schema = CsvSchema(
-        date_column=_setting(args, config, "date-column", "date"),
-        delimiter=_setting(args, config, "delimiter", ","),
+        date_column=settings.text("date-column", "date"),
+        delimiter=settings.text("delimiter", ","),
     )
     try:
         series, report = load_prices_csv(data, schema)
@@ -189,20 +215,6 @@ def _load_panel(args, config: dict, min_rows: int) -> tuple[ReturnsPanel, dict]:
     return panel, sidecar
 
 
-def _ghe_table(panel: ReturnsPanel) -> dict[str, dict]:
-    """Per-asset GHE columns keyed by asset label."""
-    table = {}
-    for asset, est in zip(panel.assets, estimate_ghe(panel.log_price_paths())):
-        table[asset] = {
-            "H1": est.h(1.0),
-            "H2": est.h(2.0),
-            "dH12": delta_h(est),
-            "se_H1": est.std_errors[est.q_values.index(1.0)],
-            "se_H2": est.std_errors[est.q_values.index(2.0)],
-        }
-    return table
-
-
 def _unfittable(
     exc: DegenerateMomentError, data: str, panel: ReturnsPanel,
     windows: list[ReturnsPanel] | None = None,
@@ -218,23 +230,15 @@ def _unfittable(
     )
 
 
-def cmd_analyze(args, config: dict, manifest: Manifest) -> int:
-    threshold = _float_setting(args, config, "threshold", 0.015)
-    theta = _float_setting(args, config, "theta", None)
-    method = _setting(args, config, "method", "average")
-    tree_file = _setting(args, config, "tree")
-    data = _setting(args, config, "data")
-    manifest.config = {
-        "data": data,
-        "threshold": threshold,
-        "method": method,
-        "tree": tree_file,
-        "theta": theta,
-        "seed": args.seed,
-    }
+def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
+    threshold = settings.number("threshold", 0.015)
+    theta = settings.number("theta", None)
+    method = settings.text("method", "average")
+    tree_file = settings.text("tree")
+    data = settings.text("data")
 
     # the Hurst fit needs MIN_SERIES_LENGTH log-prices, one more than returns
-    panel, ingestion = _load_panel(args, config, MIN_SERIES_LENGTH - 1)
+    panel, ingestion = _load_panel(data, settings, MIN_SERIES_LENGTH - 1)
     manifest.stage("load")
 
     scheme = exp_weights(panel.n_times, panel.n_times / 3.0 if theta is None else theta)
@@ -255,22 +259,18 @@ def cmd_analyze(args, config: dict, manifest: Manifest) -> int:
     manifest.stage("dependence")
 
     try:
-        ghe = _ghe_table(panel)
+        ghe = dict(zip(panel.assets, estimate_ghe(panel.log_price_paths())))
     except DegenerateMomentError as exc:
         raise _unfittable(exc, data, panel) from exc
-    if threshold > 0:
-        retained = [a for a in panel.assets if ghe[a]["dH12"] > threshold]
-    else:
-        retained = list(panel.assets)
+    dh = {a: delta_h(est) for a, est in ghe.items()}
+    retained = [a for a in panel.assets if threshold <= 0 or dh[a] > threshold]
     if len(retained) < 3:
         raise UsageError(
             f"fewer than 3 assets survive the multiscaling threshold {threshold}"
         )
     manifest.stage("ghe")
 
-    stats = order_conditional_mean(
-        {a: ghe[a]["dH12"] for a in retained}, {a: orders[a] for a in retained}
-    )
+    stats = order_conditional_mean({a: dh[a] for a in retained}, {a: orders[a] for a in retained})
     if len(stats.orders) >= 3:
         trend = trend_test(stats.orders, stats.means)
         trend_payload = trend.to_json()
@@ -283,9 +283,10 @@ def cmd_analyze(args, config: dict, manifest: Manifest) -> int:
         manifest.record("per_asset.csv"),
         ["asset", "H1", "H2", "dH12", "se_H1", "se_H2", "order", "retained"],
         [
-            [a, ghe[a]["H1"], ghe[a]["H2"], ghe[a]["dH12"], ghe[a]["se_H1"],
-             ghe[a]["se_H2"], orders[a], int(a in retained)]
-            for a in panel.assets
+            [a, est.h(1.0), est.h(2.0), dh[a],
+             *(est.std_errors[est.q_values.index(q)] for q in (1.0, 2.0)),
+             orders[a], int(a in retained)]
+            for a, est in ghe.items()
         ],
     )
     write_csv(
@@ -353,29 +354,28 @@ def _simulate_one(item: tuple[int, dict], out_dir: str) -> str:
     return str(run_dir)
 
 
-def cmd_simulate(args, config: dict, manifest: Manifest) -> int:
-    if not args.config:
+def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
+    if not settings.args.config:
         raise UsageError("simulate requires --config pointing at a model spec")
-    repeat = _count_setting(args, config, "repeat", 1, 1)
-    if _setting(args, config, "seed") is None:
+    repeat = settings.count("repeat", 1, 1)
+    if settings.get("seed") is None:
         raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
-    base_seed = _count_setting(args, config, "seed", None, 0)
-    manifest.config = {**config, "seed": base_seed, "repeat": repeat}
+    base_seed = settings.count("seed", None, 0)
 
-    base_dir = Path(args.config).resolve().parent
+    base_dir = Path(settings.args.config).resolve().parent
     # validate the spec once up front so errors surface before any run
     try:
-        dhm_mod.load_dhm_config_dict(config, base_dir, seed_override=base_seed)
+        dhm_mod.load_dhm_config_dict(settings.config, base_dir, seed_override=base_seed)
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad model spec: {exc}") from exc
     manifest.stage("validate")
 
     payloads = [
-        {"config": config, "base_dir": str(base_dir), "seed": base_seed + r}
+        {"config": settings.config, "base_dir": str(base_dir), "seed": base_seed + r}
         for r in range(repeat)
     ]
     worker = functools.partial(_simulate_one, out_dir=str(manifest.out_dir))
-    run_dirs = parallel_map(worker, list(enumerate(payloads)), jobs=args.jobs)
+    run_dirs = parallel_map(worker, list(enumerate(payloads)), jobs=settings.args.jobs)
     for d in run_dirs:
         for f in sorted(Path(d).iterdir()):
             manifest.record(f.relative_to(manifest.out_dir))
@@ -383,25 +383,20 @@ def cmd_simulate(args, config: dict, manifest: Manifest) -> int:
     return 0
 
 
-def cmd_rolling(args, config: dict, manifest: Manifest) -> int:
-    length = _count_setting(args, config, "window-length", 752)
-    count = _count_setting(args, config, "window-count", 50, 1)
-    theta = _float_setting(args, config, "theta", 250.0)
-    method = _setting(args, config, "method", "average")
-    data = _setting(args, config, "data")
-    manifest.config = {
-        "data": data,
-        "window-length": length, "window-count": count,
-        "theta": theta, "method": method,
-    }
+def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
+    length = settings.count("window-length", 752)
+    count = settings.count("window-count", 50, 1)
+    theta = settings.number("theta", 250.0)
+    method = settings.text("method", "average")
+    data = settings.text("data")
     # a window of `length` returns gives length + 1 log-prices to estimate_ghe
     if length + 1 < MIN_SERIES_LENGTH:
         raise UsageError(
-            f"{_source(args, 'window-length')} {length} is too short for the Hurst fit; "
+            f"{settings.source('window-length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
         )
 
-    panel, ingestion = _load_panel(args, config, length)
+    panel, ingestion = _load_panel(data, settings, length)
     spec = WindowSpec(length=length, count=count)
     try:
         windows = rolling_windows(panel, spec)
@@ -544,27 +539,23 @@ def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float 
     }
 
 
-def cmd_validate_model(args, config: dict, manifest: Manifest) -> int:
-    seed = _count_setting(args, config, "seed", 0, 0)
-    steps = _count_setting(args, config, "steps", 1_000_000, 2)
+def cmd_validate_model(settings: Settings, manifest: Manifest) -> int:
+    seed = settings.count("seed", 0, 0)
+    steps = settings.count("steps", 1_000_000, 2)
     # the default band is calibrated at 1e6 steps; scale it for shorter runs
     default_tolerance = 0.02 * max(1.0, (1_000_000 / steps) ** 0.5)
-    tolerance = _float_setting(args, config, "tolerance", default_tolerance)
+    tolerance = settings.number("tolerance", default_tolerance)
     if tolerance >= 2:  # no correlation deviation exceeds 2, so no check could fail
-        name = "steps" if _setting(args, config, "tolerance") is None else "tolerance"
+        name = "tolerance" if settings.given("tolerance") else "steps"
         raise UsageError(
-            f"{_source(args, name)} gives a tolerance of {tolerance:g}; it must be below 2 "
+            f"{settings.source(name)} gives a tolerance of {tolerance:g}; it must be below 2 "
             "(the default tolerance is, from 101 steps on)"
         )
-    n_trees = _count_setting(args, config, "trees", 3, 1)
+    n_trees = settings.count("trees", 3, 1)
     # two steps are the fewest a correlation can be measured on
-    length = _count_setting(args, config, "length", 4026, 2)
-    n_seeds = _count_setting(args, config, "dispersion-seeds", 3, 1)
-    min_ratio = _float_setting(args, config, "min-dispersion-ratio", 1.0)
-    manifest.config = {
-        "seed": seed, "tolerance": tolerance, "steps": steps, "trees": n_trees,
-        "length": length, "dispersion-seeds": n_seeds, "min-dispersion-ratio": min_ratio,
-    }
+    length = settings.count("length", 4026, 2)
+    n_seeds = settings.count("dispersion-seeds", 3, 1)
+    min_ratio = settings.number("min-dispersion-ratio", 1.0)
 
     checks = []
     checks.append(check_equivalence(n_trees, steps, seed, tolerance))
@@ -585,22 +576,20 @@ def cmd_validate_model(args, config: dict, manifest: Manifest) -> int:
     return 0 if passed else 2
 
 
-def cmd_calibrate(args, config: dict, manifest: Manifest) -> int:
-    count = _count_setting(args, config, "count", 1000, 10)
-    hurst_min = _float_setting(args, config, "hurst-min", 0.1)
-    hurst_max = _float_setting(args, config, "hurst-max", 0.9)
-    length = _count_setting(args, config, "length", 4026)
-    seed = _count_setting(args, config, "seed", 0, 0)
-    manifest.config = {
-        "count": count, "hurst-min": hurst_min, "hurst-max": hurst_max,
-        "length": length, "seed": seed,
-    }
+def cmd_calibrate(settings: Settings, manifest: Manifest) -> int:
+    count = settings.count("count", 1000, 10)
+    hurst_min = settings.number("hurst-min", 0.1)
+    hurst_max = settings.number("hurst-max", 0.9)
+    length = settings.count("length", 4026)
+    seed = settings.count("seed", 0, 0)
     if length < MIN_SERIES_LENGTH:
         raise UsageError(
-            f"{_source(args, 'length')} {length} is too short for the Hurst fit; "
+            f"{settings.source('length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH}"
         )
-    calibration = calibrate_threshold(count, (hurst_min, hurst_max), length, seed, jobs=args.jobs)
+    calibration = calibrate_threshold(
+        count, (hurst_min, hurst_max), length, seed, jobs=settings.args.jobs
+    )
     manifest.stage("calibrate")
     write_json_atomic(manifest.record("threshold.json"), calibration.to_json())
     print(f"threshold = {format_float(calibration.threshold)}")
@@ -670,17 +659,18 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             args = build_parser().parse_args(argv)
-            config = _load_config_file(args.config)
+            settings = Settings(args, _load_config_file(args.config))
             out = Path(args.out or "hiermf-out")
             out.mkdir(parents=True, exist_ok=True)
             manifest = Manifest(out, args.command)
-            status = args.func(args, config, manifest)
+            status = args.func(settings, manifest)
         except (UsageError, ValueError) as exc:
             for message in _messages(caught):
                 print(f"warning: {message}", file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    manifest.write(_messages(caught))
+    # the config file's keys, with every setting the command read laid over them
+    manifest.write({**settings.config, **settings.read}, _messages(caught))
     return status
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import write_csv
+from hiermf.util import decoded_lines, write_csv
 
 __all__ = [
     "WeightScheme",
@@ -193,7 +193,7 @@ def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]
     that is not a number, is an error naming the file and the row label.
     """
     with open(path, newline="") as fh:
-        rows = list(filter(None, csv.reader(fh)))
+        rows = list(filter(None, csv.reader(decoded_lines(fh, path))))
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: not a labeled correlation CSV")
     assets = tuple(rows[0][1:])

@@ -23,7 +23,7 @@ from hiermf.dependence import CorrelationMatrix, _read_labeled_matrix
 from hiermf.hierarchy import Dendrogram, leaf_path, parse_dendrogram
 from hiermf.market_data import ReturnsPanel
 from hiermf.scaling import _circulant_sample, _embedding_eigenvalues
-from hiermf.util import checked_int, checked_number, derived_rng
+from hiermf.util import checked_int, checked_number, checked_type, decoded_lines, derived_rng
 
 __all__ = [
     "RiskTree",
@@ -168,9 +168,6 @@ class Activations:
 
     node_ids: tuple[int, ...]
     values: np.ndarray  # (n_nodes, length) of {0, 1}
-
-    def row(self, node_id: int) -> np.ndarray:
-        return self.values[self.node_ids.index(node_id)]
 
 
 def sample_activations(tree: RiskTree, length: int, seed_or_rng) -> Activations:
@@ -411,6 +408,8 @@ def _noise_from_config(noise_cfg, leaves: tuple[str, ...], base_dir):
     Files may hold either a correlation or a covariance matrix; covariances
     are normalized to unit diagonal and the variances kept separately.
     """
+    if noise_cfg is not None:
+        checked_type(noise_cfg, Mapping, "model config key 'noise'", "an object")
     if noise_cfg is None or noise_cfg.get("identity"):
         return CorrelationMatrix(assets=leaves, values=np.eye(len(leaves))), None
     if "constant" in noise_cfg:
@@ -419,7 +418,9 @@ def _noise_from_config(noise_cfg, leaves: tuple[str, ...], base_dir):
         np.fill_diagonal(values, 1.0)
         return CorrelationMatrix(assets=leaves, values=values), None
     if "file" in noise_cfg:
-        path = base_dir / noise_cfg["file"]
+        path = base_dir / checked_type(
+            noise_cfg["file"], str, "model config key 'noise.file'", "a file name"
+        )
         assets, values = _read_labeled_matrix(path)
         diag = np.diag(values).copy()
         if np.allclose(diag, 1.0, atol=1e-12):
@@ -463,7 +464,8 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
     probabilities draw from the regime's p_range with a stream derived from
     the seed; by default a node id seen in the previous regime keeps its value.
     Integer keys must hold JSON integers and real ones JSON numbers (never a
-    bool or a string); an error names the key and, inside a regime, its index.
+    bool or a string), and every other key its own JSON type; an error names
+    the key and, inside a regime, its index.
     """
     base_dir = Path(base_dir)
     for key in ("length", "regimes"):
@@ -478,24 +480,36 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
     if logvol_cfg is None:
         logvol = None
     else:
+        checked_type(logvol_cfg, Mapping, "model config key 'logvol'", "an object or null")
         lam = checked_number(logvol_cfg.get("lambda", 0.2), "model config key 'logvol.lambda'")
         horizon = checked_int(logvol_cfg.get("horizon", 800), "model config key 'logvol.horizon'")
         logvol = LogVolSpec(lam=lam, horizon=horizon)
 
     regimes = []
     previous: dict[int, float] | None = None
-    for k, regime_cfg in enumerate(config["regimes"]):
+    regime_cfgs = checked_type(
+        config["regimes"], (list, tuple), "model config key 'regimes'", "a list"
+    )
+    if not regime_cfgs:
+        raise ValueError("model config key 'regimes' must list at least one regime")
+    for k, regime_cfg in enumerate(regime_cfgs):
+        checked_type(regime_cfg, Mapping, f"regime {k}", "an object")
         if "tree" not in regime_cfg or "duration" not in regime_cfg:
             raise ValueError(f"regime {k} needs 'tree' and 'duration'")
         duration = checked_int(regime_cfg["duration"], f"regime {k} key 'duration'")
-        tree = parse_dendrogram(base_dir / regime_cfg["tree"])
+        tree_file = checked_type(regime_cfg["tree"], str, f"regime {k} key 'tree'", "a file name")
+        tree = parse_dendrogram(base_dir / tree_file)
         p_range = regime_cfg.get("p_range")
         if p_range is not None:
             name = f"regime {k} key 'p_range'"
             if not isinstance(p_range, (list, tuple)) or len(p_range) != 2:
                 raise ValueError(f"{name} must be [low, high], got {p_range!r}")
             p_range = tuple(checked_number(p, f"{name} entry {i}") for i, p in enumerate(p_range))
-        inherit = previous if regime_cfg.get("inherit_previous", True) else None
+        inherit_previous = checked_type(
+            regime_cfg.get("inherit_previous", True), bool,
+            f"regime {k} key 'inherit_previous'", "true or false",
+        )
+        inherit = previous if inherit_previous else None
         risk_tree = _risk_tree_from_config(
             tree, p_range, inherit, derived_rng(int(seed), 3, k)
         )
@@ -518,7 +532,7 @@ def load_dhm_config(path) -> DhmSpec:
     """Read a model spec JSON file; relative paths resolve against its directory."""
     path = Path(path)
     with open(path) as fh:
-        config = json.load(fh)
+        config = json.loads("".join(decoded_lines(fh, path)))
     return load_dhm_config_dict(config, path.parent)
 
 

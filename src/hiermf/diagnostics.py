@@ -190,9 +190,6 @@ class QuantileSummary:
     levels: tuple[float, ...]
     values: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {"label": self.label, "levels": list(self.levels), "values": list(self.values)}
-
 
 def quantile_summary(
     groups: Mapping[str, np.ndarray], levels: Sequence[float] = (0.025, 0.5, 0.975)

@@ -19,7 +19,7 @@ import numpy as np
 
 from hiermf.dependence import WeightScheme, corr_to_distance, weighted_pearson_matrix
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import derived_rng, write_json_atomic
+from hiermf.util import decoded_lines, derived_rng, write_json_atomic
 
 __all__ = [
     "TreeNode",
@@ -479,16 +479,32 @@ def serialize_dendrogram(tree: Dendrogram, path: str | Path) -> None:
 def parse_dendrogram(path: str | Path) -> Dendrogram:
     """Read the JSON interchange form, rejecting malformed trees with a location."""
     with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DendrogramFormatError(f"not valid JSON: {exc}", str(path)) from exc
+        text = "".join(decoded_lines(fh, path))
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DendrogramFormatError(f"not valid JSON: {exc}", str(path)) from exc
+    if not isinstance(payload, dict):
+        raise DendrogramFormatError(f"top level must be an object, got {payload!r}", str(path))
     for key in ("leaves", "nodes", "root"):
         if key not in payload:
             raise DendrogramFormatError(f"missing key {key!r}", str(path))
+    for key in ("leaves", "nodes"):
+        if not isinstance(payload[key], list):
+            raise DendrogramFormatError(
+                f"key {key!r} must be a list, got {payload[key]!r}", str(path)
+            )
+    try:
+        root = int(payload["root"])
+    except (TypeError, ValueError) as exc:
+        raise DendrogramFormatError(
+            f"key 'root' must be a node id, got {payload['root']!r}", str(path)
+        ) from exc
     nodes = []
     for idx, record in enumerate(payload["nodes"]):
         where = f"nodes[{idx}]"
+        if not isinstance(record, dict):
+            raise DendrogramFormatError(f"node record must be an object, got {record!r}", where)
         if "children" in record:
             children = record["children"]
             if not isinstance(children, list) or len(children) != 2:
@@ -515,7 +531,7 @@ def parse_dendrogram(path: str | Path) -> Dendrogram:
         return Dendrogram(
             leaves=tuple(str(x) for x in payload["leaves"]),
             nodes=tuple(nodes),
-            root=int(payload["root"]),
+            root=root,
         )
     except DendrogramFormatError as exc:
         raise DendrogramFormatError(f"{exc}", str(path)) from exc

@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from hiermf.util import decoded_lines
+
 __all__ = [
     "PriceSeries",
     "ReturnsPanel",
@@ -102,9 +104,6 @@ class ReturnsPanel:
     def n_assets(self) -> int:
         return self.values.shape[1]
 
-    def column(self, asset: str) -> np.ndarray:
-        return self.values[:, self.assets.index(asset)]
-
     def log_price_paths(self) -> np.ndarray:
         """Cumulative scale-1 log-prices (anchored at 0), one column per asset.
 
@@ -185,14 +184,6 @@ class LoadReport:
         }
 
 
-def _decoded_lines(fh, path: Path):
-    """Lines of the open text file `fh`; a decoding error names the file."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-
-
 def load_prices_csv(
     path: str | Path, schema: CsvSchema | None = None
 ) -> tuple[dict[str, PriceSeries], LoadReport]:
@@ -216,7 +207,7 @@ def load_prices_csv(
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(_decoded_lines(fh, path), delimiter=schema.delimiter)
+        reader = csv.reader(decoded_lines(fh, path), delimiter=schema.delimiter)
         header = next(reader, None)
         if header is None or schema.date_column not in header:
             raise ValueError(f"{path}: missing date column {schema.date_column!r}")

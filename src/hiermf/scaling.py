@@ -58,10 +58,6 @@ class GheEstimate:
                 return hi
         raise ValueError(f"q={q} not estimated (have {self.q_values})")
 
-    @property
-    def delta_h(self) -> float:
-        return delta_h(self)
-
 
 class DegenerateMomentError(ValueError):
     """A q-moment of exactly 0: the column's increments vanish at that scale.

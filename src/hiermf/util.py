@@ -9,7 +9,7 @@ import os
 import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +53,14 @@ def write_json_atomic(path: str | os.PathLike, payload: Any, indent: int | None 
         raise
 
 
+def decoded_lines(fh, path: str | os.PathLike) -> Iterator[str]:
+    """Lines of the open text file `fh`; a decoding error names the file `path`."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+
+
 def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
     """`value` if it is an integer of at least `minimum`; errors name `name`.
 
@@ -71,6 +79,13 @@ def checked_number(value: Any, name: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def checked_type(value: Any, kinds, name: str, expected: str) -> Any:
+    """`value` if it is an instance of `kinds`; errors name `name` and the `expected` type."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
 
 
 def format_float(x: float) -> str:

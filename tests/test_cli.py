@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -197,6 +198,16 @@ BAD_MODEL_SPECS = [
     ({"regimes.0.p_range": ["0.4", 0.6]},
      "regime 0 key 'p_range' entry 0 must be a number, got '0.4'"),
     ({"noise.constant": "0.25"}, "model config key 'noise.constant' must be a number, got '0.25'"),
+    # sections of the wrong JSON type
+    ({"regimes": 5}, "model config key 'regimes' must be a list, got 5"),
+    ({"regimes": [5]}, "regime 0 must be an object, got 5"),
+    ({"regimes": []}, "model config key 'regimes' must list at least one regime"),
+    ({"logvol": 5}, "model config key 'logvol' must be an object or null, got 5"),
+    ({"noise": [1]}, "model config key 'noise' must be an object, got [1]"),
+    ({"noise": {"file": 5}}, "model config key 'noise.file' must be a file name, got 5"),
+    ({"regimes.0.tree": 5}, "regime 0 key 'tree' must be a file name, got 5"),
+    ({"regimes.0.inherit_previous": "no"},
+     "regime 0 key 'inherit_previous' must be true or false, got 'no'"),
 ]
 
 
@@ -230,6 +241,60 @@ def test_simulate_rejects_mislabeled_noise_rows(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "noise.csv" in err and "'A01'" in err
+
+
+MALFORMED_TREES = [
+    (5, "top level must be an object, got 5"),
+    ({"leaves": ["A00"], "nodes": 5, "root": 1}, "key 'nodes' must be a list, got 5"),
+    ({"leaves": 5, "nodes": [], "root": 1}, "key 'leaves' must be a list, got 5"),
+    ({"leaves": ["A00"], "nodes": [], "root": [1]}, "key 'root' must be a node id, got [1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, named", MALFORMED_TREES, ids=["top-level", "nodes", "leaves", "root"]
+)
+def test_malformed_tree_names_file_and_key(tmp_path, capsys, payload, named):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    config = write_model_config(tmp_path)  # its regime reads tree.json
+    tree = tmp_path.resolve() / "tree.json"
+    tree.write_text(json.dumps(payload))
+    rc = main(["analyze", "--data", str(data), "--tree", str(tree), "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named} (at {tree})\n"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: bad model spec: {named} (at {tree})\n"
+
+
+def test_non_utf8_inputs_name_the_file(tmp_path, capsys):
+    undecodable = b"\xff\xfe not text\n"
+    reason = "not utf-8 text (invalid start byte)"
+    bad_config = tmp_path / "bad_config.json"
+    bad_config.write_bytes(undecodable)
+    assert main(["calibrate", "--config", str(bad_config), "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err == f"error: {bad_config}: {reason}\n"
+
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    tree = tmp_path / "bad_tree.json"
+    tree.write_bytes(undecodable)
+    rc = main(["analyze", "--data", str(data), "--tree", str(tree), "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {tree}: {reason}\n"
+
+    (tmp_path / "noise.csv").write_bytes(undecodable)
+    for key, value, name in (
+        ("regimes.0.tree", "bad_tree.json", "bad_tree.json"),
+        ("noise", {"file": "noise.csv"}, "noise.csv"),
+    ):
+        path = write_model_config(tmp_path)
+        spec = json.loads(path.read_text())
+        _set_path(spec, key, value)
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad model spec: {tmp_path.resolve() / name}: {reason}\n"
 
 
 # --- analyze ---
@@ -698,6 +763,17 @@ BAD_SETTINGS = [
     ("validate-model", {"min-dispersion-ratio": True}, "config key 'min-dispersion-ratio' must be a number"),
     ("calibrate", {"hurst-min": "abc"}, "config key 'hurst-min' must be a number"),
     ("calibrate", {"hurst-max": True}, "config key 'hurst-max' must be a number"),
+    # strings
+    ("analyze", {"data": 5}, "config key 'data' must be a string, got 5"),
+    ("analyze", {"tree": 5}, "config key 'tree' must be a string, got 5"),
+    ("rolling", {"method": ["single"]}, "config key 'method' must be a string, got ['single']"),
+    ("rolling", {"delimiter": 5}, "config key 'delimiter' must be a string, got 5"),
+    ("analyze", {"date-column": True}, "config key 'date-column' must be a string, got True"),
+    # null, where the setting has a default
+    ("analyze", {"threshold": None}, "config key 'threshold' must be a number, got None"),
+    ("rolling", {"theta": None}, "config key 'theta' must be a number, got None"),
+    ("validate-model", {"tolerance": None}, "config key 'tolerance' must be a number, got None"),
+    ("calibrate", {"hurst-max": None}, "config key 'hurst-max' must be a number, got None"),
 ]
 
 
@@ -737,6 +813,36 @@ def test_integer_flag_over_a_bad_config_value_wins(tmp_path):
 
 
 # --- run skeleton ---
+
+
+def test_manifest_config_holds_every_setting_the_run_read(tmp_path):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threshold": 0, "method": "complete", "note": "kept"}))
+    out = tmp_path / "out"
+    rc = main(["analyze", "--config", str(config), "--data", str(data), "--method", "single",
+               "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    # analyze uses no seed, so none is recorded; the flag wins over the config key
+    assert recorded == {
+        "data": str(data), "threshold": 0.0, "theta": None, "method": "single", "tree": None,
+        "date-column": "date", "delimiter": ",", "note": "kept",
+    }
+    assert isinstance(recorded["threshold"], float)
+
+
+def test_simulate_manifest_config_is_the_spec_with_seed_and_repeat(tmp_path):
+    path = write_model_config(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(path), "--seed", "11", "--repeat", "2",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {**json.loads(path.read_text()), "seed": 11, "repeat": 2}
+    digest = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()
+    assert manifest["config_sha256"] == digest
 
 
 def test_warnings_of_a_failed_run_print_once_before_the_error(tmp_path, capsys, monkeypatch):

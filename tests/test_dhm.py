@@ -654,6 +654,25 @@ def test_load_dhm_config_two_regimes(tmp_path):
     simulate_returns(spec)  # loadable specs must be runnable
 
 
+def test_load_dhm_config_inherit_previous_false_draws_fresh_probabilities(tmp_path):
+    serialize_dendrogram(random_binary_tree(6, np.random.default_rng(14)), tmp_path / "a.json")
+    regimes = [
+        {"tree": "a.json", "duration": 150, "p_range": [0.4, 0.6]},
+        {"tree": "a.json", "duration": 250, "p_range": [0.4, 0.6]},
+    ]
+    probabilities = []
+    for inherit in (True, False):
+        regimes[1]["inherit_previous"] = inherit
+        config = {"length": 400, "seed": 3, "regimes": regimes}
+        (tmp_path / "model.json").write_text(json.dumps(config))
+        first, second = (r.tree for r in load_dhm_config(tmp_path / "model.json").regimes)
+        probabilities.append([(first.probability(i), second.probability(i))
+                              for i in first.node_ids])
+    # the same tree in both regimes: inherited values match, fresh draws do not
+    assert all(a == b for a, b in probabilities[0])
+    assert all(a != b for a, b in probabilities[1])
+
+
 def test_load_dhm_config_missing_probability(tmp_path):
     tree = random_binary_tree(3, np.random.default_rng(15))
     serialize_dendrogram(tree, tmp_path / "t.json")
