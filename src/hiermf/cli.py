@@ -34,6 +34,7 @@ from hiermf.dependence import (
 )
 from hiermf.diagnostics import order_conditional_mean, quantile_summary, trend_test
 from hiermf.hierarchy import (
+    LINKAGE_METHODS,
     cluster_cut,
     linkage_cluster,
     order_profile,
@@ -166,6 +167,13 @@ class Settings:
             name, default, lambda value, source: checked_type(value, str, source, "a string")
         )
 
+    def choice(self, name: str, default: str, choices: tuple[str, ...]) -> str:
+        """String setting that must be one of `choices`."""
+        value = self.text(name, default)
+        if value not in choices:
+            raise UsageError(f"{self.source(name)} must be one of {choices}, got {value!r}")
+        return value
+
     def _checked(self, name: str, default, check):
         value = self.get(name, default)
         if value is None and default is None:
@@ -233,7 +241,7 @@ def _unfittable(
 def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
     threshold = settings.number("threshold", 0.015)
     theta = settings.number("theta", None)
-    method = settings.text("method", "average")
+    method = settings.choice("method", "average", LINKAGE_METHODS)
     tree_file = settings.text("tree")
     data = settings.text("data")
 
@@ -387,7 +395,7 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
     length = settings.count("window-length", 752)
     count = settings.count("window-count", 50, 1)
     theta = settings.number("theta", 250.0)
-    method = settings.text("method", "average")
+    method = settings.choice("method", "average", LINKAGE_METHODS)
     data = settings.text("data")
     # a window of `length` returns gives length + 1 log-prices to estimate_ghe
     if length + 1 < MIN_SERIES_LENGTH:
@@ -467,7 +475,7 @@ def check_equivalence(n_trees: int, steps: int, seed: int, tolerance: float) -> 
             length=steps,
             seed=int(derived_rng(seed, 11, k).integers(0, 2**63)),
         )
-        sample = np.corrcoef(dhm_mod.simulate_returns(spec).returns.values.T)
+        sample = dhm_mod.sample_correlation(spec)
         theory = dhm_mod.theoretical_correlation(noise, tree).values
         dev = float(np.max(np.abs(sample - theory)))
         per_tree.append({"leaves": n_leaves, "max_abs_deviation": dev})
@@ -607,7 +615,7 @@ def build_parser() -> _Parser:
     prices.add_argument("--data", help="prices CSV (one date column, one column per ticker)")
     prices.add_argument("--date-column")
     prices.add_argument("--delimiter")
-    prices.add_argument("--method", choices=["single", "average", "complete"])
+    prices.add_argument("--method", choices=LINKAGE_METHODS)
 
     parser = _Parser(prog="hiermf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "sample_activations",
     "hierarchical_factor",
     "simulate_returns",
+    "sample_correlation",
     "perturbation_factor",
     "theoretical_correlation",
     "draw_probabilities",
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 MAX_CLIPPED_EIGENVALUE_MASS = 0.01
-# rows of noise and of the risk factor built at a time in simulate_returns
+# rows of noise and of the risk factor built at a time by the simulator
 BLOCK_ROWS = 65_536
 
 
@@ -291,6 +293,61 @@ def _row_blocks(length: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], length]))
 
 
+def _xi_path(spec: DhmSpec) -> np.ndarray | None:
+    """xi over the whole length from stream (seed, 1); None when the volatility is off."""
+    if spec.logvol is None:
+        return None
+    return _xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
+
+
+def _regime_activations(spec: DhmSpec) -> tuple[Activations, ...]:
+    """Each regime's activations, drawn per node over the whole regime from stream (seed, 2, k)."""
+    return tuple(
+        sample_activations(regime.tree, regime.duration, derived_rng(spec.seed, 2, k))
+        for k, regime in enumerate(spec.regimes)
+    )
+
+
+def _return_blocks(
+    spec: DhmSpec,
+    x: np.ndarray | None,
+    activations: Sequence[Activations],
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(epsilon, returns) of each `_row_blocks(spec.length)` block, in row order.
+
+    Epsilon is one stream (seed, 0) over the whole length. `x` of None leaves
+    the volatility out, which is exact when it is identically 1. A block that
+    crosses a regime boundary takes each regime's risk factors for its own
+    rows. With `out`, a pair of (length, assets) arrays, each block is written
+    into their rows and yielded as views; otherwise each block is new.
+    """
+    assets = spec.noise.assets
+    transform = _noise_transform(spec.noise)
+    eps_rng = derived_rng(spec.seed, 0)
+    regimes = []  # (first row, end row, leaf paths, activation values)
+    t0 = 0
+    for regime, acts in zip(spec.regimes, activations):
+        paths = _leaf_paths(regime.tree, acts.node_ids, assets)
+        regimes.append((t0, t0 + regime.duration, paths, acts.values))
+        t0 += regime.duration
+    for a, b in _row_blocks(spec.length):
+        if out is None:
+            epsilon, returns = np.empty((b - a, len(assets))), np.empty((b - a, len(assets)))
+        else:
+            epsilon, returns = out[0][a:b], out[1][a:b]
+        np.matmul(eps_rng.standard_normal((b - a, len(assets))), transform, out=epsilon)
+        if x is None:
+            np.copyto(returns, epsilon)
+        else:
+            np.multiply(epsilon, x[a:b, None], out=returns)
+        for start, end, paths, values in regimes:
+            lo, hi = max(a, start), min(b, end)
+            if lo < hi:
+                returns[lo - a : hi - a] *= _risk_factors(paths, values[:, lo - start : hi - start])
+        yield epsilon, returns
+
+
 def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     """Sample the model: r = eps * x * Y with eps and x continued across regimes.
 
@@ -299,42 +356,56 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     boundary. Noise and Y are built in row blocks, so memory beyond the
     returned arrays stays at about one block.
     """
-    assets = spec.noise.assets
-    # x first: the circulant draw's temporaries are freed before the outputs exist
-    if spec.logvol is None:
+    # x and the activations first: their draws' temporaries are freed before the outputs exist
+    xi = _xi_path(spec)
+    if xi is None:
         xi = np.zeros(spec.length)
-    else:
-        xi = _xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
     x = np.exp(xi)
+    activations = _regime_activations(spec)
 
-    transform = _noise_transform(spec.noise)
-    eps_rng = derived_rng(spec.seed, 0)
-    epsilon = np.empty((spec.length, len(assets)))
-    for a, b in _row_blocks(spec.length):
-        np.matmul(eps_rng.standard_normal((b - a, len(assets))), transform, out=epsilon[a:b])
-    values = epsilon * x[:, None]
+    epsilon = np.empty((spec.length, spec.noise.n_assets))
+    values = np.empty_like(epsilon)
+    for _ in _return_blocks(spec, x, activations, out=(epsilon, values)):
+        pass
 
-    activations = []
-    starts = []
-    t0 = 0
-    for k, regime in enumerate(spec.regimes):
-        acts = sample_activations(regime.tree, regime.duration, derived_rng(spec.seed, 2, k))
-        activations.append(acts)
-        starts.append(t0)
-        paths = _leaf_paths(regime.tree, acts.node_ids, assets)
-        for a, b in _row_blocks(regime.duration):
-            values[t0 + a : t0 + b] *= _risk_factors(paths, acts.values[:, a:b])
-        t0 += regime.duration
-
-    panel = ReturnsPanel(assets=assets, times=tuple(range(spec.length)), values=values, scale=1)
+    panel = ReturnsPanel(
+        assets=spec.noise.assets, times=tuple(range(spec.length)), values=values, scale=1
+    )
     return SimulationOutput(
         returns=panel,
-        activations=tuple(activations),
+        activations=activations,
         x=x,
         xi=xi,
         epsilon=epsilon,
-        regime_starts=tuple(starts),
+        regime_starts=tuple(accumulate((r.duration for r in spec.regimes[:-1]), initial=0)),
     )
+
+
+def sample_correlation(spec: DhmSpec) -> np.ndarray:
+    """Sample correlation of the returns `simulate_returns(spec)` gives, without holding them.
+
+    Each row block folds into a running count, mean and centred
+    cross-product matrix C by the pairwise update of Chan, Golub & LeVeque
+    (1983, Am. Stat. 37:242); the result is C / sqrt(outer(diag C, diag C)).
+    Memory is the uint8 activations, x when the volatility is on, and a few
+    blocks: no (length, assets) array is built. It agrees with np.corrcoef
+    of the whole panel to rounding, and a column with zero variance gives NaN.
+    """
+    x = None if spec.logvol is None else np.exp(_xi_path(spec))
+    n = spec.noise.n_assets
+    count, mean, cross = 0, np.zeros(n), np.zeros((n, n))
+    for _, returns in _return_blocks(spec, x, _regime_activations(spec)):
+        rows = returns.shape[0]
+        block_mean = returns.mean(axis=0)
+        returns -= block_mean
+        delta = block_mean - mean
+        total = count + rows
+        cross += returns.T @ returns
+        cross += np.outer(delta, delta) * (count * rows / total)
+        mean += delta * (rows / total)
+        count = total
+    scale = np.sqrt(np.diag(cross))
+    return cross / np.outer(scale, scale)
 
 
 E1 = math.e - 1.0

@@ -502,7 +502,7 @@ def parse_dendrogram(path: str | Path) -> Dendrogram:
         ) from exc
     nodes = []
     for idx, record in enumerate(payload["nodes"]):
-        where = f"nodes[{idx}]"
+        where = f"nodes[{idx}] of {path}"
         if not isinstance(record, dict):
             raise DendrogramFormatError(f"node record must be an object, got {record!r}", where)
         if "children" in record:

@@ -18,6 +18,7 @@ from hiermf.dhm import (
     RiskTree,
     draw_probabilities,
     perturbation_factor,
+    sample_correlation,
     simulate_returns,
     simulate_xi,
     theoretical_correlation,
@@ -65,7 +66,7 @@ def _equivalence_deviation(args) -> float:
         length=10**6,
         seed=int(rng.integers(0, 2**63)),
     )
-    sample = np.corrcoef(simulate_returns(spec).returns.values.T)
+    sample = sample_correlation(spec)
     theory = theoretical_correlation(noise, tree).values
     return float(np.max(np.abs(sample - theory)))
 
@@ -102,7 +103,7 @@ def test_02_limit_cases_recover_noise_correlation():
             noise=noise, regimes=(Regime(tree, 10**6),), logvol=LogVolSpec(),
             length=10**6, seed=run_seed,
         )
-        sample = np.corrcoef(simulate_returns(spec).returns.values.T)
+        sample = sample_correlation(spec)
         worst = max(worst, float(np.max(np.abs(sample - noise.values))))
     assert worst <= 0.01, f"max |rho - Sigma| = {worst:.4f} exceeds 0.01"
     print(f"\n[PASS] criterion 2 - all-off/all-on risks leave correlations at the "

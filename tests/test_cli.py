@@ -267,6 +267,28 @@ def test_malformed_tree_names_file_and_key(tmp_path, capsys, payload, named):
     assert capsys.readouterr().err == f"error: bad model spec: {named} (at {tree})\n"
 
 
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        ({"id": 5, "left": "leaf:A00", "right": "leaf:A01"}, "bad node record: 'height'"),
+        ({"id": 5, "left": None, "right": "leaf:A01", "height": 1.0}, "bad child reference None"),
+        (7, "node record must be an object, got 7"),
+    ],
+    ids=["no-height", "bad-child", "not-an-object"],
+)
+def test_malformed_node_record_names_the_tree_file(tmp_path, capsys, record, named):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    config = write_model_config(tmp_path)  # its regime reads tree.json
+    tree = tmp_path.resolve() / "tree.json"
+    tree.write_text(json.dumps({"leaves": ["A00", "A01"], "nodes": [record], "root": 5}))
+    rc = main(["analyze", "--data", str(data), "--tree", str(tree), "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named} (at nodes[0] of {tree})\n"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: bad model spec: {named} (at nodes[0] of {tree})\n"
+
+
 def test_non_utf8_inputs_name_the_file(tmp_path, capsys):
     undecodable = b"\xff\xfe not text\n"
     reason = "not utf-8 text (invalid start byte)"
@@ -707,6 +729,7 @@ def test_validate_model_rejects_empty_runs_before_simulating(
         raise AssertionError("simulated before the settings were checked")
 
     monkeypatch.setattr(cli.dhm_mod, "simulate_returns", no_simulation)
+    monkeypatch.setattr(cli.dhm_mod, "sample_correlation", no_simulation)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -720,6 +743,23 @@ def test_equivalence_check_fails_when_the_deviation_is_nan():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = check_equivalence(n_trees=2, steps=1, seed=0, tolerance=0.5)
+    assert math.isnan(report["max_abs_deviation"])
+    assert report["passed"] is False
+
+
+def test_equivalence_check_fails_on_a_zero_variance_column(monkeypatch):
+    transform = cli.dhm_mod._noise_transform
+
+    def first_asset_silenced(noise):
+        t = transform(noise)
+        t[:, 0] = 0.0  # asset 0's noise, and so its returns, are all zero
+        return t
+
+    monkeypatch.setattr(cli.dhm_mod, "_noise_transform", first_asset_silenced)
+    monkeypatch.setattr(cli.dhm_mod, "simulate_returns", _no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = check_equivalence(n_trees=1, steps=1000, seed=0, tolerance=0.5)
     assert math.isnan(report["max_abs_deviation"])
     assert report["passed"] is False
 
@@ -774,6 +814,11 @@ BAD_SETTINGS = [
     ("rolling", {"theta": None}, "config key 'theta' must be a number, got None"),
     ("validate-model", {"tolerance": None}, "config key 'tolerance' must be a number, got None"),
     ("calibrate", {"hurst-max": None}, "config key 'hurst-max' must be a number, got None"),
+    # choices, checked before the panel is loaded
+    ("analyze", {"method": "bogus"},
+     "config key 'method' must be one of ('single', 'average', 'complete'), got 'bogus'"),
+    ("rolling", {"method": "bogus"},
+     "config key 'method' must be one of ('single', 'average', 'complete'), got 'bogus'"),
 ]
 
 
@@ -787,6 +832,7 @@ def test_config_values_of_the_wrong_type_name_the_key(
     tmp_path, capsys, monkeypatch, command, setting, named
 ):
     monkeypatch.setattr(cli.dhm_mod, "simulate_returns", _no_work)
+    monkeypatch.setattr(cli.dhm_mod, "sample_correlation", _no_work)
     monkeypatch.setattr(cli, "calibrate_threshold", _no_work)
     monkeypatch.setattr(cli, "load_prices_csv", _no_work)
     if command == "simulate":

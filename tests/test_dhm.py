@@ -610,6 +610,70 @@ def test_simulator_peak_memory_is_output_plus_one_block():
     assert peak - base < 1.2 * (retained - base)
 
 
+# --- the streamed sample correlation against np.corrcoef of the whole panel ---
+
+
+def forbid_whole_panels(monkeypatch):
+    """Make building the whole returns panel inside dhm an error."""
+
+    def whole_panel(*args, **kwargs):
+        raise AssertionError("built the whole returns panel")
+
+    monkeypatch.setattr(dhm, "simulate_returns", whole_panel)
+    monkeypatch.setattr(dhm, "ReturnsPanel", whole_panel)
+
+
+@pytest.mark.parametrize(
+    "length, n_regimes, logvol",
+    [
+        (length, n_regimes, logvol)
+        for length in (2, B - 1, B, B + 1, 2 * B + 1)
+        for n_regimes in (1, 2, 3)
+        if n_regimes <= length  # every regime needs a row
+        for logvol in (False, True)
+    ],
+)
+def test_sample_correlation_matches_corrcoef_of_the_simulated_panel(
+    monkeypatch, length, n_regimes, logvol
+):
+    spec = oracle_spec(length, n_regimes, logvol)
+    expected = np.corrcoef(simulate_returns(spec).returns.values.T)
+    forbid_whole_panels(monkeypatch)
+    assert np.max(np.abs(dhm.sample_correlation(spec) - expected)) <= 1e-13
+
+
+def test_sample_correlation_is_nan_for_a_zero_variance_column(monkeypatch):
+    spec = oracle_spec(B + 1, 2, True)
+    transform = dhm._noise_transform
+    # a zero first column of the noise transform makes asset 0's returns all zero
+    monkeypatch.setattr(dhm, "_noise_transform", lambda noise: transform(noise) * [0, 1, 1, 1, 1, 1])
+    forbid_whole_panels(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        corr = dhm.sample_correlation(spec)
+    assert np.isnan(corr[0]).all() and np.isnan(corr[:, 0]).all()
+    assert np.isfinite(corr[1:, 1:]).all()
+
+
+def test_sample_correlation_memory_does_not_grow_with_the_panel():
+    """From 2 to 10 blocks the traced peak grows by under a quarter of one returns array.
+
+    What grows is the uint8 activations, one byte per node and step; np.corrcoef
+    of the whole panel grows by the returns, epsilon and a centred copy.
+    """
+    peaks = {}
+    for blocks in (2, 10):
+        spec = oracle_spec(blocks * B, 2, False, n_leaves=16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dhm.sample_correlation(spec)
+            peaks[blocks] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    returns_growth = 8 * B * 16 * np.dtype(float).itemsize
+    assert peaks[10] - peaks[2] < returns_growth / 4
+
+
 # --- probability assignment and config loading ---
 
 
