@@ -8,14 +8,14 @@ activations along each asset's dendrogram path).
 
 __version__ = "0.1.0"
 
-from hiermf.market_data import PriceSeries, ReturnsPanel, WindowSpec
+from hiermf.market_data import PricePanel, ReturnsPanel, WindowSpec
 from hiermf.scaling import FbmSpec, GheEstimate, ThresholdCalibration
 from hiermf.dependence import CorrelationMatrix, WeightScheme
 from hiermf.hierarchy import Dendrogram, TreeNode
 from hiermf.dhm import DhmSpec, LogVolSpec, Regime, RiskTree, SimulationOutput
 
 __all__ = [
-    "PriceSeries",
+    "PricePanel",
     "ReturnsPanel",
     "WindowSpec",
     "FbmSpec",

@@ -199,16 +199,18 @@ def _load_panel(
     """Aligned scale-1 panel and its ingestion sidecar; fewer than `min_rows` returns is an error."""
     if not data:
         raise UsageError("no input panel; pass --data or set 'data' in the config")
-    schema = CsvSchema(
-        date_column=settings.text("date-column", "date"),
-        delimiter=settings.text("delimiter", ","),
-    )
+    date_column = settings.text("date-column", "date")
+    delimiter = settings.text("delimiter", ",")
     try:
-        series, report = load_prices_csv(data, schema)
+        schema = CsvSchema(date_column=date_column, delimiter=delimiter)
+    except ValueError as exc:  # the delimiter is the field CsvSchema checks
+        raise UsageError(f"{settings.source('delimiter')}: {exc}") from exc
+    try:
+        prices, report = load_prices_csv(data, schema)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        panel = returns_panel(series)
+        panel = returns_panel(prices)
     except ValueError as exc:  # alignment errors do not know the file
         raise UsageError(f"{data}: {exc}") from exc
     if panel.n_times < min_rows:
@@ -216,7 +218,7 @@ def _load_panel(
         worst = max(report.drop_counts, key=report.drop_counts.get)
         dropped = report.drop_counts[worst]
         if dropped:
-            message += f"; ticker {worst!r} dropped {dropped} of {dropped + len(series[worst])}"
+            message += f"; ticker {worst!r} dropped {dropped} of {len(prices.dates)}"
         raise UsageError(message)
     sidecar = report.to_sidecar()
     sidecar["aligned_rows"] = panel.n_times

@@ -12,14 +12,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from hiermf.util import decoded_lines
 
 __all__ = [
-    "PriceSeries",
+    "PricePanel",
     "ReturnsPanel",
     "WindowSpec",
     "CsvSchema",
@@ -27,44 +27,34 @@ __all__ = [
     "load_prices_csv",
     "log_returns",
     "rolling_windows",
-    "align_series",
     "returns_panel",
 ]
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Strictly positive daily prices for one ticker on an increasing date index."""
+class PricePanel:
+    """Daily prices of several tickers on one date column: prices[row, ticker].
 
-    ticker: str
-    timestamps: tuple[str, ...]
+    A missing cell is NaN. `returns_panel` keeps only the rows where every
+    ticker has a finite positive price.
+    """
+
+    dates: tuple[str, ...]
+    tickers: tuple[str, ...]
     prices: np.ndarray
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        if len(self.timestamps) != prices.shape[0]:
+        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "tickers", tuple(self.tickers))
+        if not self.tickers:
+            raise ValueError("no price columns")
+        if prices.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(
-                f"{self.ticker}: {len(self.timestamps)} timestamps vs {prices.shape[0]} prices"
+                f"prices of shape {prices.shape} vs {len(self.dates)} dates "
+                f"and {len(self.tickers)} tickers"
             )
-        if prices.shape[0] < 2:
-            raise ValueError(f"{self.ticker}: need at least 2 prices, got {prices.shape[0]}")
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0):
-            raise ValueError(f"{self.ticker}: prices must be finite and strictly positive")
-        ts = self.timestamps
-        if not all(map(operator.lt, ts, ts[1:])):
-            for a, b in zip(ts, ts[1:]):
-                if not a < b:
-                    raise ValueError(f"{self.ticker}: timestamps not strictly increasing at {b!r}")
-        prices.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.prices.shape[0]
-
-    @property
-    def log_prices(self) -> np.ndarray:
-        return np.log(self.prices)
 
 
 @dataclass(frozen=True)
@@ -166,6 +156,13 @@ class CsvSchema:
     price_columns: tuple[str, ...] | None = None
     delimiter: str = ","
 
+    def __post_init__(self):
+        # csv.reader takes one character, and a quote or a line break would split the header wrongly
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ValueError(
+                f"delimiter must be one character other than a quote or a line break, got {self.delimiter!r}"
+            )
+
 
 @dataclass
 class LoadReport:
@@ -186,12 +183,13 @@ class LoadReport:
 
 def load_prices_csv(
     path: str | Path, schema: CsvSchema | None = None
-) -> tuple[dict[str, PriceSeries], LoadReport]:
-    """Read one PriceSeries per ticker column from a header-row CSV.
+) -> tuple[PricePanel, LoadReport]:
+    """Read every ticker column of a header-row CSV into one PricePanel.
 
-    Rows with a missing or non-positive price are dropped for that ticker
-    only; the per-ticker drop counts are returned in the LoadReport. Dates
-    must be strictly increasing over the whole file.
+    A missing, non-finite or non-positive price is NaN in the panel and
+    counts as a dropped row of that ticker only; the per-ticker drop counts
+    are returned in the LoadReport. Each ticker needs at least 2 valid rows.
+    Dates must be strictly increasing over the whole file.
 
     A cell is read with `float()` after stripping whitespace; a cell it
     rejects counts as missing. Blank lines are skipped and a short row reads
@@ -240,20 +238,24 @@ def load_prices_csv(
     dates = tuple(map(str.strip, columns[position[schema.date_column]]))
     _check_dates(path, dates, lines)
 
-    report = LoadReport(source=str(path), schema=schema, drop_counts={})
-    series: dict[str, PriceSeries] = {}
-    for t in tickers:
-        prices = _parse_column(columns[position[t]])
+    prices = np.empty((len(dates), len(tickers)))
+    for k, t in enumerate(tickers):
+        prices[:, k] = _parse_column(columns[position[t]])
         columns[position[t]] = ()  # release the parsed cells before the next column
-        valid = np.isfinite(prices)
-        valid[valid] = prices[valid] > 0  # NaN never enters a comparison
-        kept = int(np.count_nonzero(valid))
-        report.drop_counts[t] = len(dates) - kept
-        if kept < 2:
-            raise ValueError(f"{path}: ticker {t!r} has fewer than 2 valid rows")
-        stamps = tuple(itertools.compress(dates, valid.tolist()))
-        series[t] = PriceSeries(ticker=t, timestamps=stamps, prices=prices[valid])
-    return series, report
+    valid = _valid(prices)
+    prices[~valid] = math.nan
+    kept = np.count_nonzero(valid, axis=0)
+    if np.any(kept < 2):
+        raise ValueError(f"{path}: {_short_ticker(tickers, kept)}")
+    report = LoadReport(
+        source=str(path), schema=schema, drop_counts=dict(zip(tickers, (len(dates) - kept).tolist()))
+    )
+    return PricePanel(dates=dates, tickers=tickers, prices=prices), report
+
+
+def _valid(prices: np.ndarray) -> np.ndarray:
+    """True where a price is finite and positive; NaN compares false."""
+    return (prices > 0) & (prices < math.inf)
 
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:
@@ -285,13 +287,13 @@ def _check_dates(path: Path, dates: tuple[str, ...], lines: Sequence[int]) -> No
             )
 
 
-def log_returns(series: PriceSeries | np.ndarray, scale: int = 1) -> np.ndarray:
+def log_returns(prices: np.ndarray, scale: int = 1) -> np.ndarray:
     """Log-returns log p[t+scale] - log p[t] over all overlapping offsets.
 
-    Accepts a PriceSeries or a raw positive price array with time along its
-    first axis; output length is len(series) - scale.
+    Takes positive prices with time along the first axis; output length is
+    len(prices) - scale.
     """
-    prices = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=float)
+    prices = np.asarray(prices, dtype=float)
     if scale < 1:
         raise ValueError("scale must be >= 1")
     if scale >= prices.shape[0]:
@@ -314,42 +316,39 @@ def rolling_windows(panel: ReturnsPanel, spec: WindowSpec) -> list[ReturnsPanel]
     ]
 
 
-def align_series(series: Sequence[PriceSeries]) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Intersect date indices and return (dates, tickers, price matrix).
+def returns_panel(panel: PricePanel, scale: int = 1) -> ReturnsPanel:
+    """Scale-`scale` log-returns on the rows where every ticker has a valid price.
 
-    Continuously traded assets keep their full span; assets with dropped rows
-    shrink the common index for everyone (intersection alignment).
+    Those rows are the intersection of the tickers' dates: continuously
+    traded tickers keep their full span, and a ticker's missing rows shrink
+    the common index for everyone.
     """
-    if not series:
-        raise ValueError("no series to align")
-    common = set(series[0].timestamps).intersection(*(s.timestamps for s in series[1:]))
-    if len(common) < 2:
-        # every series has at least 2 dates, so some later ticker shrinks the running set
-        running = set(series[0].timestamps)
-        for s in series[1:]:
-            running.intersection_update(s.timestamps)
-            if len(running) < 2:
-                break
-        raise ValueError(
-            f"fewer than 2 common dates across tickers; ticker {s.ticker!r} ({len(s)} dates) "
-            f"leaves {len(running)} in common with the tickers before it"
-        )
-    # every index is strictly increasing, so filtering any of them keeps date order
-    dates = tuple(filter(common.__contains__, series[0].timestamps))
-    tickers = tuple(s.ticker for s in series)
-    matrix = np.column_stack([
-        s.prices[np.fromiter(map(common.__contains__, s.timestamps), bool, len(s))]
-        for s in series
-    ])
-    return dates, tickers, matrix
+    valid = _valid(panel.prices)
+    common = np.logical_and.reduce(valid, axis=1)
+    n_common = int(np.count_nonzero(common))
+    if n_common < 2:
+        raise ValueError(_too_few_common_rows(panel.tickers, valid))
+    if scale >= n_common:
+        raise ValueError(f"scale {scale} >= aligned length {n_common}")
+    dates = tuple(itertools.compress(panel.dates, common.tolist()))
+    values = log_returns(panel.prices[common], scale)
+    return ReturnsPanel(assets=panel.tickers, times=dates[scale:], values=values, scale=scale)
 
 
-def returns_panel(series: Sequence[PriceSeries] | Mapping[str, PriceSeries], scale: int = 1) -> ReturnsPanel:
-    """Intersection-align tickers and assemble the scale-`scale` returns panel."""
-    if isinstance(series, Mapping):
-        series = [series[k] for k in series]
-    dates, tickers, prices = align_series(series)
-    if scale >= len(dates):
-        raise ValueError(f"scale {scale} >= aligned length {len(dates)}")
-    values = log_returns(prices, scale)
-    return ReturnsPanel(assets=tickers, times=dates[scale:], values=values, scale=scale)
+def _too_few_common_rows(tickers: tuple[str, ...], valid: np.ndarray) -> str:
+    """Name the ticker to blame when fewer than 2 rows are valid for every ticker."""
+    kept = np.count_nonzero(valid, axis=0)
+    if np.any(kept < 2):
+        return _short_ticker(tickers, kept)
+    # rows valid for every ticker up to and including each one
+    running = np.count_nonzero(np.logical_and.accumulate(valid, axis=1), axis=0)
+    k = int(np.argmax(running < 2))
+    return (
+        f"fewer than 2 common dates across tickers; ticker {tickers[k]!r} ({kept[k]} dates) "
+        f"leaves {running[k]} in common with the tickers before it"
+    )
+
+
+def _short_ticker(tickers: Sequence[str], kept: np.ndarray) -> str:
+    """Name the first ticker with fewer than 2 valid rows."""
+    return f"ticker {tickers[np.argmax(kept < 2)]!r} has fewer than 2 valid rows"

@@ -116,12 +116,10 @@ def _moment_table(series: np.ndarray, q_values, scales, starts=(0,), span=None) 
 def q_moment(log_prices, q: float, scale: int) -> float:
     """Mean absolute q-th moment of increments at the given scale.
 
-    Accepts a log-price array or a PriceSeries and uses every overlapping
-    increment x[t+scale] - x[t]. A return of exactly 0.0 marks a degenerate
-    scale (all increments zero).
+    Uses every overlapping increment x[t+scale] - x[t] of a log-price array.
+    A return of exactly 0.0 marks a degenerate scale (all increments zero).
     """
-    x = getattr(log_prices, "log_prices", log_prices)
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(log_prices, dtype=float)
     if q <= 0:
         raise ValueError("q must be positive")
     if not 1 <= scale <= x.shape[0] - 1:

@@ -771,6 +771,8 @@ def _no_work(*args, **kwargs):
     raise AssertionError("ran before the settings were checked")
 
 
+BAD_DELIMITER = "delimiter must be one character other than a quote or a line break"
+
 BAD_SETTINGS = [
     # integers
     ("validate-model", {"trees": 2.7}, "config key 'trees' must be an integer, got 2.7"),
@@ -819,6 +821,12 @@ BAD_SETTINGS = [
      "config key 'method' must be one of ('single', 'average', 'complete'), got 'bogus'"),
     ("rolling", {"method": "bogus"},
      "config key 'method' must be one of ('single', 'average', 'complete'), got 'bogus'"),
+    # a delimiter csv.reader cannot take, or one that splits the header wrongly
+    ("analyze", {"delimiter": ";;"}, f"config key 'delimiter': {BAD_DELIMITER}, got ';;'"),
+    ("rolling", {"delimiter": ""}, f"config key 'delimiter': {BAD_DELIMITER}, got ''"),
+    ("analyze", {"delimiter": '"'}, f"config key 'delimiter': {BAD_DELIMITER}, got '\"'"),
+    ("rolling", {"delimiter": "\n"}, f"config key 'delimiter': {BAD_DELIMITER}, got '\\n'"),
+    ("analyze", {"delimiter": "\r"}, f"config key 'delimiter': {BAD_DELIMITER}, got '\\r'"),
 ]
 
 
@@ -845,6 +853,21 @@ def test_config_values_of_the_wrong_type_name_the_key(
     rc = main([command, "--config", str(path), "--out", str(out)])
     assert rc == 1
     assert named in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "rolling"])
+@pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
+def test_bad_delimiter_flag_is_named_before_the_file_is_read(
+    tmp_path, capsys, monkeypatch, command, delimiter
+):
+    monkeypatch.setattr(cli, "load_prices_csv", _no_work)
+    data = tmp_path / "prices.csv"
+    write_price_csv(data)
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data), f"--delimiter={delimiter}", "--out", str(out)])
+    assert rc == 1
+    assert f"--delimiter: {BAD_DELIMITER}, got {delimiter!r}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -1,8 +1,11 @@
 import csv
 import io
+import itertools
 import math
+import operator
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +13,9 @@ import pytest
 from hiermf import market_data
 from hiermf.market_data import (
     CsvSchema,
-    PriceSeries,
+    PricePanel,
     ReturnsPanel,
     WindowSpec,
-    align_series,
     load_prices_csv,
     log_returns,
     returns_panel,
@@ -21,9 +23,18 @@ from hiermf.market_data import (
 )
 
 
-def make_series(prices, ticker="X"):
-    stamps = [f"2020-{1 + t // 28:02d}-{1 + t % 28:02d}" for t in range(len(prices))]
-    return PriceSeries(ticker=ticker, timestamps=stamps, prices=np.asarray(prices, float))
+def make_panel(**columns):
+    """A PricePanel of equal-length price columns named by keyword, on generated dates."""
+    prices = np.column_stack([np.asarray(c, float) for c in columns.values()])
+    dates = [f"2020-{1 + t // 28:02d}-{1 + t % 28:02d}" for t in range(prices.shape[0])]
+    return PricePanel(dates=dates, tickers=tuple(columns), prices=prices)
+
+
+def column(panel, ticker):
+    """(dates, prices) of the valid rows of one ticker."""
+    prices = panel.prices[:, panel.tickers.index(ticker)]
+    valid = ~np.isnan(prices)
+    return tuple(itertools.compress(panel.dates, valid.tolist())), prices[valid]
 
 
 # --- CSV ingestion ---
@@ -32,9 +43,10 @@ def make_series(prices, ticker="X"):
 def test_load_identity(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("date,AAA\n2020-01-01,100\n2020-01-02,110\n2020-01-03,121\n")
-    series, report = load_prices_csv(f)
-    assert len(series["AAA"]) == 3
-    assert np.allclose(series["AAA"].prices, [100, 110, 121])
+    panel, report = load_prices_csv(f)
+    assert panel.dates == ("2020-01-01", "2020-01-02", "2020-01-03")
+    assert panel.tickers == ("AAA",)
+    assert panel.prices.tolist() == [[100.0], [110.0], [121.0]]
     assert report.drop_counts == {"AAA": 0}
 
 
@@ -46,17 +58,18 @@ def test_load_drops_bad_rows_per_ticker(tmp_path):
         "2020-01-02,-4,51\n"
         "2020-01-03,121,52\n"
     )
-    series, report = load_prices_csv(f)
-    assert len(series["AAA"]) == 2
+    panel, report = load_prices_csv(f)
+    assert panel.prices[:, 0].tolist()[::2] == [100.0, 121.0] and math.isnan(panel.prices[1, 0])
     assert report.drop_counts == {"AAA": 1, "BBB": 0}
-    assert len(series["BBB"]) == 3
+    assert panel.prices[:, 1].tolist() == [50.0, 51.0, 52.0]
 
 
 def test_load_missing_cell_drops(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("date,AAA\n2020-01-01,100\n2020-01-02,\n2020-01-03,105\n")
-    series, report = load_prices_csv(f)
-    assert len(series["AAA"]) == 2
+    panel, report = load_prices_csv(f)
+    dates, prices = column(panel, "AAA")
+    assert dates == ("2020-01-01", "2020-01-03") and prices.tolist() == [100.0, 105.0]
     assert report.drop_counts["AAA"] == 1
 
 
@@ -88,15 +101,21 @@ def test_load_full_sample_span(tmp_path):
         rows.append(f"{10000 + t},{price}")
     f = tmp_path / "span.csv"
     f.write_text("\n".join(rows) + "\n")
-    series, _ = load_prices_csv(f)
-    assert len(series["AAA"]) == 4026
+    panel, _ = load_prices_csv(f)
+    assert panel.prices.shape == (4026, 1) and not np.isnan(panel.prices).any()
 
 
 def test_configurable_delimiter(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("date;AAA\n2020-01-01;100\n2020-01-02;110\n")
-    series, _ = load_prices_csv(f, CsvSchema(delimiter=";"))
-    assert len(series["AAA"]) == 2
+    panel, _ = load_prices_csv(f, CsvSchema(delimiter=";"))
+    assert panel.tickers == ("AAA",) and panel.prices.tolist() == [[100.0], [110.0]]
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n", 5])
+def test_schema_rejects_a_delimiter_the_reader_cannot_use(delimiter):
+    with pytest.raises(ValueError, match="delimiter must be one character other than a quote or a line break"):
+        CsvSchema(delimiter=delimiter)
 
 
 def reference_load_prices_csv(path, schema=None):
@@ -152,6 +171,76 @@ def reference_load_prices_csv(path, schema=None):
         ts, px = zip(*kept[t])
         series[t] = (ts, np.array(px))
     return series, drop_counts
+
+
+@dataclass(frozen=True)
+class ReferenceSeries:
+    """The per-ticker price series that PricePanel replaced, with its checks."""
+
+    ticker: str
+    timestamps: tuple
+    prices: np.ndarray
+
+    def __post_init__(self):
+        if len(self.timestamps) != self.prices.shape[0]:
+            raise ValueError(f"{self.ticker}: {len(self.timestamps)} timestamps vs {self.prices.shape[0]} prices")
+        if self.prices.shape[0] < 2:
+            raise ValueError(f"{self.ticker}: need at least 2 prices, got {self.prices.shape[0]}")
+        if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0):
+            raise ValueError(f"{self.ticker}: prices must be finite and strictly positive")
+        if not all(map(operator.lt, self.timestamps, self.timestamps[1:])):
+            raise ValueError(f"{self.ticker}: timestamps not strictly increasing")
+
+
+def reference_align_series(series):
+    """Intersect the series' date sets, as alignment did before the price matrix."""
+    common = set(series[0].timestamps).intersection(*(s.timestamps for s in series[1:]))
+    if len(common) < 2:
+        running = set(series[0].timestamps)
+        for s in series[1:]:
+            running.intersection_update(s.timestamps)
+            if len(running) < 2:
+                break
+        raise ValueError(
+            f"fewer than 2 common dates across tickers; ticker {s.ticker!r} ({len(s.timestamps)} dates) "
+            f"leaves {len(running)} in common with the tickers before it"
+        )
+    dates = tuple(filter(common.__contains__, series[0].timestamps))
+    matrix = np.column_stack([
+        s.prices[np.fromiter(map(common.__contains__, s.timestamps), bool, len(s.timestamps))]
+        for s in series
+    ])
+    return dates, tuple(s.ticker for s in series), matrix
+
+
+def reference_returns(path, schema=None, scale=1):
+    """(times, returns bytes, drop counts) of the series path, or its error message.
+
+    The reference loader builds one ReferenceSeries per ticker, the series
+    are intersection-aligned, and log-returns are taken of the aligned
+    matrix; this is the pipeline that load_prices_csv + returns_panel replaced.
+    """
+    try:
+        loaded, drops = reference_load_prices_csv(path, schema)
+        series = [ReferenceSeries(t, stamps, prices) for t, (stamps, prices) in loaded.items()]
+        dates, tickers, matrix = reference_align_series(series)
+        if scale >= len(dates):
+            raise ValueError(f"scale {scale} >= aligned length {len(dates)}")
+        logs = np.log(matrix)
+        values = logs[scale:] - logs[:-scale]
+    except ValueError as exc:
+        return str(exc)
+    return tickers, dates[scale:], values.tobytes(), drops
+
+
+def matrix_returns(path, schema=None, scale=1):
+    """The same outcome through load_prices_csv and returns_panel."""
+    try:
+        panel, report = load_prices_csv(path, schema)
+        returns = returns_panel(panel, scale)
+    except ValueError as exc:
+        return str(exc)
+    return returns.assets, returns.times, returns.values.tobytes(), report.drop_counts
 
 
 def load_outcome(loader, path, schema):
@@ -222,23 +311,25 @@ def test_loader_matches_dictreader_reference(tmp_path, name):
         assert got == expected
         return
     assert not isinstance(got, str), got
-    series, report = got
+    panel, report = got
     ref_series, ref_drops = expected
     assert report.drop_counts == ref_drops
     assert list(report.drop_counts) == list(ref_drops)
-    assert list(series) == list(ref_series)
+    assert panel.tickers == tuple(ref_series)
     for t, (stamps, prices) in ref_series.items():
-        assert series[t].timestamps == stamps
-        assert series[t].prices.tobytes() == prices.tobytes()
+        got_stamps, got_prices = column(panel, t)
+        assert got_stamps == stamps
+        assert got_prices.tobytes() == prices.tobytes()
 
 
 def test_loader_cell_rules(tmp_path):
     text, schema = ORACLE_FILES["bad_cells"]
     f = tmp_path / "p.csv"
     f.write_text(text)
-    series, report = load_prices_csv(f, schema)
-    assert series["A"].timestamps == ("d07", "d08", "d11", "d12")
-    assert series["A"].prices.tolist() == [1000.0, 1.5, 2.5, 3.0]
+    panel, report = load_prices_csv(f, schema)
+    dates, prices = column(panel, "A")
+    assert dates == ("d07", "d08", "d11", "d12")
+    assert prices.tolist() == [1000.0, 1.5, 2.5, 3.0]
     assert report.drop_counts == {"A": 8, "B": 2}
 
 
@@ -252,12 +343,99 @@ def test_loader_matches_reference_on_generated_panel(tmp_path):
     lines += [f"{10000 + t}," + ",".join(map(str, row)) for t, row in enumerate(cells)]
     f = tmp_path / "p.csv"
     f.write_text("\n".join(lines) + "\n")
-    series, report = load_prices_csv(f)
+    panel, report = load_prices_csv(f)
     ref_series, ref_drops = reference_load_prices_csv(f)
     assert report.drop_counts == ref_drops and sum(ref_drops.values()) > 0
     for t, (stamps, px) in ref_series.items():
-        assert series[t].timestamps == stamps
-        assert series[t].prices.tobytes() == px.tobytes()
+        got_stamps, got_prices = column(panel, t)
+        assert got_stamps == stamps
+        assert got_prices.tobytes() == px.tobytes()
+
+
+def write_gappy_panel(path, n_rows=240, n_tickers=6, seed=0, edit=None):
+    """A price CSV with some cells blanked, zeroed or negated by `edit(cells, rng)`."""
+    rng = np.random.default_rng(seed)
+    prices = 100 * np.exp(np.cumsum(0.02 * rng.standard_normal((n_rows, n_tickers)), axis=0))
+    cells = prices.astype(object)
+    if edit:
+        edit(cells, rng)
+    lines = ["date," + ",".join(f"T{j}" for j in range(n_tickers))]
+    lines += [f"{10000 + t}," + ",".join(map(str, row)) for t, row in enumerate(cells)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _late_listings(cells, rng):
+    cells[:40, 1] = ""
+    cells[:95, 4] = ""
+
+
+def _scattered_bad_cells(cells, rng):
+    cells[rng.random(cells.shape) < 0.04] = ""
+    cells[rng.random(cells.shape) < 0.01] = "0"
+    cells[rng.random(cells.shape) < 0.01] = "-2.5"
+    cells[rng.random(cells.shape) < 0.005] = "nan"
+
+
+def _trading_halt(cells, rng):
+    cells[100:112, :] = ""
+
+
+def _short_ticker(cells, rng):
+    cells[1:, 3] = ""
+
+
+def _short_intersection(cells, rng):
+    # T0 trades only in the first half and T2 only from its last row on
+    cells[120:, 0] = ""
+    cells[:119, 2] = ""
+
+
+def _all_of_them(cells, rng):
+    for edit in (_late_listings, _scattered_bad_cells, _trading_halt):
+        edit(cells, rng)
+
+
+GAPPY_PANELS = {
+    "complete": None,
+    "late_listings": _late_listings,
+    "scattered_blank_zero_negative": _scattered_bad_cells,
+    "trading_halt": _trading_halt,
+    "short_ticker": _short_ticker,
+    "short_intersection": _short_intersection,
+    "all_gaps": _all_of_them,
+}
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+@pytest.mark.parametrize("name", list(GAPPY_PANELS))
+def test_returns_match_the_series_oracle_on_gappy_panels(tmp_path, name, scale):
+    f = tmp_path / f"{name}.csv"
+    write_gappy_panel(f, seed=len(name), edit=GAPPY_PANELS[name])
+    expected = reference_returns(f, scale=scale)
+    assert matrix_returns(f, scale=scale) == expected
+    if name.startswith("short"):
+        assert isinstance(expected, str)
+    else:
+        assert not isinstance(expected, str), expected
+
+
+def test_short_panel_errors_name_the_ticker_and_both_counts(tmp_path):
+    f = tmp_path / "p.csv"
+    write_gappy_panel(f, edit=_short_intersection)
+    assert matrix_returns(f) == (
+        "fewer than 2 common dates across tickers; ticker 'T2' (121 dates) "
+        "leaves 1 in common with the tickers before it"
+    )
+    write_gappy_panel(f, edit=_short_ticker)
+    assert matrix_returns(f) == f"{f}: ticker 'T3' has fewer than 2 valid rows"
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FILES))
+def test_returns_match_the_series_oracle_on_edge_files(tmp_path, name):
+    text, schema = ORACLE_FILES[name]
+    f = tmp_path / f"{name}.csv"
+    f.write_text(text)
+    assert matrix_returns(f, schema) == reference_returns(f, schema)
 
 
 def test_loader_rejects_duplicate_price_column(tmp_path):
@@ -271,9 +449,10 @@ def test_loader_rejects_duplicate_price_column(tmp_path):
 def test_loader_keeps_each_tickers_valid_dates(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("date,A,B,C\nd1,1,2,3\nd2,2,,4\nd3,3,4,5\n")
-    series, _ = load_prices_csv(f)
-    assert series["A"].timestamps == series["C"].timestamps == ("d1", "d2", "d3")
-    assert series["B"].timestamps == ("d1", "d3")
+    panel, _ = load_prices_csv(f)
+    assert column(panel, "A")[0] == column(panel, "C")[0] == ("d1", "d2", "d3")
+    assert column(panel, "B")[0] == ("d1", "d3")
+    assert math.isnan(panel.prices[1, 1])
 
 
 @pytest.mark.parametrize(
@@ -319,24 +498,46 @@ def test_date_error_reads_the_file_once_and_keeps_its_line(tmp_path, monkeypatch
 # --- domain type validation ---
 
 
-def test_price_series_rejects_nonpositive():
-    with pytest.raises(ValueError, match="strictly positive"):
-        make_series([100, 0, 101])
+def test_returns_panel_drops_nonpositive_and_non_finite_prices():
+    panel = make_panel(X=[100, 0, 101, -3, 102, np.inf, 103, np.nan, 104], Y=np.arange(1.0, 10.0))
+    returns = returns_panel(panel)
+    assert returns.times == panel.dates[2::2]
+    assert returns.values[:, 0].tolist() == np.diff(np.log([100.0, 101, 102, 103, 104])).tolist()
 
 
-def test_price_series_rejects_short():
-    with pytest.raises(ValueError, match="at least 2"):
-        make_series([100])
+def test_returns_panel_names_a_ticker_with_fewer_than_2_valid_rows():
+    with pytest.raises(ValueError, match="^ticker 'Y' has fewer than 2 valid rows$"):
+        returns_panel(make_panel(X=[1, 2, 3], Y=[np.nan, 5, -1], Z=[0, 0, 0]))
 
 
-def test_price_series_rejects_unsorted_dates():
+def test_price_series_rejects_unsorted_dates(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("date,X\n2020-01-02,1\n2020-01-01,2\n")
     with pytest.raises(ValueError, match="strictly increasing"):
-        PriceSeries("X", ["2020-01-02", "2020-01-01"], np.array([1.0, 2.0]))
+        load_prices_csv(f)
 
 
-def test_price_series_names_the_first_unsorted_date():
-    with pytest.raises(ValueError, match="X: timestamps not strictly increasing at 'd2'"):
-        PriceSeries("X", ["d1", "d3", "d2", "d2"], np.array([1.0, 2.0, 3.0, 4.0]))
+def test_price_series_names_the_first_unsorted_date(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("date,X\nd1,1\nd3,2\nd2,3\nd2,4\n")
+    with pytest.raises(ValueError) as info:
+        load_prices_csv(f)
+    assert str(info.value) == f"{f}:4: dates not strictly increasing ('d2' after 'd3')"
+
+
+@pytest.mark.parametrize(
+    "dates, tickers, shape",
+    [(("d1", "d2"), ("a", "b"), (2, 3)), (("d1",), ("a",), (2, 1)), (("d1", "d2"), ("a",), (2,))],
+    ids=["tickers", "dates", "one_dimensional"],
+)
+def test_price_panel_rejects_shape_mismatch(dates, tickers, shape):
+    with pytest.raises(ValueError, match="prices of shape"):
+        PricePanel(dates=dates, tickers=tickers, prices=np.ones(shape))
+
+
+def test_price_panel_needs_a_ticker():
+    with pytest.raises(ValueError, match="no price columns"):
+        PricePanel(dates=("d1", "d2"), tickers=(), prices=np.ones((2, 0)))
 
 
 def test_panel_rejects_shape_mismatch():
@@ -403,10 +604,12 @@ def test_log_returns_scale_too_large():
         log_returns(np.array([1.0, 2.0, 3.0]), 3)
 
 
-def test_log_returns_accepts_series():
-    s = make_series([100, 110, 121])
-    out = log_returns(s, 1)
-    assert out.shape == (2,)
+def test_log_returns_of_a_price_matrix_is_per_column():
+    prices = np.exp(np.random.default_rng(5).uniform(4.0, 5.0, size=(30, 3)))
+    out = log_returns(prices, 2)
+    assert out.shape == (28, 3)
+    for j in range(3):
+        assert out[:, j].tobytes() == log_returns(prices[:, j], 2).tobytes()
 
 
 def test_round_trip_reconstruction():
@@ -479,39 +682,39 @@ def test_rolling_windows_are_views():
 
 
 def test_alignment_intersects_dates():
-    a = PriceSeries("A", ["d1", "d2", "d3", "d4"], np.array([1.0, 2.0, 3.0, 4.0]))
-    b = PriceSeries("B", ["d2", "d3", "d4", "d5"], np.array([5.0, 6.0, 7.0, 8.0]))
-    dates, tickers, matrix = align_series([a, b])
-    assert dates == ("d2", "d3", "d4")
-    assert tickers == ("A", "B")
-    assert matrix.shape == (3, 2)
-    assert np.allclose(matrix[:, 0], [2, 3, 4])
+    panel = PricePanel(
+        dates=("d1", "d2", "d3", "d4", "d5"),
+        tickers=("A", "B"),
+        prices=np.array([[1.0, np.nan], [2.0, 5.0], [3.0, 6.0], [4.0, 7.0], [np.nan, 8.0]]),
+    )
+    returns = returns_panel(panel)
+    assert returns.times == ("d3", "d4")
+    assert returns.assets == ("A", "B")
+    assert returns.values.shape == (2, 2)
+    assert np.allclose(returns.values[:, 0], np.log([3 / 2, 4 / 3]))
 
 
 @pytest.mark.parametrize("drops", [0, 5], ids=["equal_dates", "dropped_dates"])
 def test_alignment_matches_dict_lookup(drops):
     rng = np.random.default_rng(3)
-    stamps = [f"d{t:03d}" for t in range(50)]
-    series = []
+    stamps = tuple(f"d{t:03d}" for t in range(50))
+    prices = np.exp(rng.standard_normal((50, 4)))
     for j in range(4):
-        keep = np.sort(rng.choice(50, size=50 - drops, replace=False))
-        series.append(PriceSeries(f"T{j}", [stamps[k] for k in keep], np.exp(rng.standard_normal(keep.size))))
-    dates, tickers, matrix = align_series(series)
-    assert dates == tuple(sorted(set.intersection(*(set(s.timestamps) for s in series))))
+        prices[rng.choice(50, size=drops, replace=False), j] = np.nan
+    panel = PricePanel(dates=stamps, tickers=("T0", "T1", "T2", "T3"), prices=prices)
+    returns = returns_panel(panel)
+    lookups = [dict(zip(*column(panel, t))) for t in panel.tickers]
+    dates = tuple(sorted(set.intersection(*(set(lookup) for lookup in lookups))))
+    assert returns.times == dates[1:]
     assert len(dates) <= 50 - drops
-    assert tickers == ("T0", "T1", "T2", "T3")
-    expected = np.empty((len(dates), 4))
-    for j, s in enumerate(series):
-        lookup = dict(zip(s.timestamps, s.prices))
-        expected[:, j] = [lookup[d] for d in dates]
-    assert matrix.tobytes() == expected.tobytes()
-    assert matrix.flags.c_contiguous
+    assert returns.assets == ("T0", "T1", "T2", "T3")
+    expected = np.array([[lookup[d] for lookup in lookups] for d in dates])
+    assert returns.values.tobytes() == log_returns(expected).tobytes()
+    assert returns.values.flags.c_contiguous
 
 
-def test_returns_panel_from_series():
-    a = make_series([100, 110, 121, 133.1], "A")
-    b = make_series([50, 55, 60.5, 66.55], "B")
-    panel = returns_panel([a, b])
+def test_returns_panel_from_price_panel():
+    panel = returns_panel(make_panel(A=[100, 110, 121, 133.1], B=[50, 55, 60.5, 66.55]))
     assert panel.assets == ("A", "B")
     assert panel.n_times == 3
     assert np.allclose(panel.values[:, 0], math.log(1.1))
