@@ -123,16 +123,92 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-class Settings:
-    """The run's flag-or-config values: the flag if given, else the config key, else the default.
+_METHOD = (LINKAGE_METHODS, "average", None, "linkage of the clustering")
+_PRICES = {
+    "data": (str, None, None, "prices CSV (one date column, one column per ticker)"),
+    "date-column": (str, "date", None, "header of the price file's date column"),
+    "delimiter": (str, ",", None, "the price file's one-character cell separator"),
+}
 
-    `read` keeps every value a command read, as checked, for the manifest.
+# Each command's settings in the order they are read: name -> (kind, default, minimum, help).
+# kind is int, float, str or a tuple of allowed strings. A callable default gets the values
+# read before it; a None default leaves an unset setting None. An int is at least its
+# minimum, a float above it. A help of None means config-only; --seed is a common flag.
+SETTINGS = {
+    "analyze": {
+        "threshold": (float, 0.015, None, "dH significance cutoff; <= 0 disables"),
+        "theta": (float, None, 0, "weight decay in rows (default rows/3)"),
+        "method": _METHOD,
+        "tree": (str, None, None, "import a dendrogram JSON instead of clustering"),
+        **_PRICES,
+    },
+    "simulate": {
+        "repeat": (int, 1, 1, "independent realizations"),
+        "seed": (int, None, 0, "master seed"),
+    },
+    "rolling": {
+        "window-length": (int, 752, None, "returns per window"),
+        "window-count": (int, 50, 1, "number of windows"),
+        "theta": (float, 250.0, 0, "weight decay in rows"),
+        "method": _METHOD,
+        **_PRICES,
+    },
+    "validate-model": {
+        "seed": (int, 0, 0, "master seed"),
+        "steps": (int, 1_000_000, 2, "steps of each equivalence run"),
+        # the default band is calibrated at 1e6 steps; scale it for shorter runs
+        "tolerance": (float, lambda read: 0.02 * max(1.0, (1_000_000 / read["steps"]) ** 0.5),
+                      None, "deviation bound (default 0.02 * max(1, sqrt(10^6 / steps)))"),
+        "trees": (int, 3, 1, "random trees of the equivalence check"),
+        # two steps are the fewest a correlation can be measured on
+        "length": (int, 4026, 2, "steps of each median-shift and dispersion run"),
+        "dispersion-seeds": (int, 3, 1, None),
+        "min-dispersion-ratio": (float, 1.0, None, None),
+    },
+    "calibrate": {
+        "count": (int, 1000, 10, "fBm realizations"),
+        "hurst-min": (float, 0.1, None, "lowest Hurst exponent drawn"),
+        "hurst-max": (float, 0.9, None, "highest Hurst exponent drawn"),
+        "length": (int, 4026, None, "points per fBm path"),
+        "seed": (int, 0, 0, "master seed"),
+    },
+}
+
+
+def _checked(value, kind, minimum, source: str):
+    """`value` if it is of `kind` and within `minimum`; errors name the flag or key `source`."""
+    if kind is int:
+        return checked_int(value, source, minimum)
+    if kind is float:
+        number = checked_number(value, source)
+        if minimum is not None and number <= minimum:
+            raise UsageError(f"{source} must be > {minimum}, got {number!r}")
+        return number
+    checked_type(value, str, source, "a string")
+    if isinstance(kind, tuple) and value not in kind:
+        raise UsageError(f"{source} must be one of {kind}, got {value!r}")
+    return value
+
+
+class Settings(dict):
+    """The command's settings by name: the flag if given, else the config key, else the default.
+
+    The constructor checks the command's whole SETTINGS table, so a bad value fails before any work.
     """
 
     def __init__(self, args, config: dict):
+        super().__init__()
         self.args = args
         self.config = config
-        self.read: dict = {}
+        for name, (kind, default, minimum, _) in SETTINGS[args.command].items():
+            if callable(default):
+                default = default(self)
+            value = self._flag(name)
+            if value is None:
+                value = config.get(name, default)
+            if value is not None or default is not None:
+                value = _checked(value, kind, minimum, self.source(name))
+            self[name] = value
 
     def _flag(self, name: str):
         return getattr(self.args, name.replace("-", "_"), None)
@@ -144,42 +220,6 @@ class Settings:
     def source(self, name: str) -> str:
         """How the user set `name`: the flag when given, else the config key."""
         return f"--{name}" if self._flag(name) is not None else f"config key {name!r}"
-
-    def get(self, name: str, default=None):
-        """The value as given, unchecked."""
-        value = self._flag(name)
-        if value is None:
-            value = self.config.get(name, default)
-        self.read[name] = value
-        return value
-
-    def count(self, name: str, default: int | None, minimum: int | None = None) -> int:
-        """Integer setting, at least `minimum` if one is given; errors name the flag or key."""
-        return checked_int(self.get(name, default), self.source(name), minimum)
-
-    def number(self, name: str, default: float | None) -> float | None:
-        """Real-number setting, None only when unset with no default."""
-        return self._checked(name, default, checked_number)
-
-    def text(self, name: str, default: str | None = None) -> str | None:
-        """String setting, None only when unset with no default."""
-        return self._checked(
-            name, default, lambda value, source: checked_type(value, str, source, "a string")
-        )
-
-    def choice(self, name: str, default: str, choices: tuple[str, ...]) -> str:
-        """String setting that must be one of `choices`."""
-        value = self.text(name, default)
-        if value not in choices:
-            raise UsageError(f"{self.source(name)} must be one of {choices}, got {value!r}")
-        return value
-
-    def _checked(self, name: str, default, check):
-        value = self.get(name, default)
-        if value is None and default is None:
-            return None
-        self.read[name] = check(value, self.source(name))
-        return self.read[name]
 
 
 def _worker_count(text: str) -> int:
@@ -193,16 +233,13 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _load_panel(
-    data: str | None, settings: Settings, min_rows: int
-) -> tuple[ReturnsPanel, dict]:
+def _load_panel(settings: Settings, min_rows: int) -> tuple[ReturnsPanel, dict]:
     """Aligned scale-1 panel and its ingestion sidecar; fewer than `min_rows` returns is an error."""
+    data = settings["data"]
     if not data:
         raise UsageError("no input panel; pass --data or set 'data' in the config")
-    date_column = settings.text("date-column", "date")
-    delimiter = settings.text("delimiter", ",")
     try:
-        schema = CsvSchema(date_column=date_column, delimiter=delimiter)
+        schema = CsvSchema(date_column=settings["date-column"], delimiter=settings["delimiter"])
     except ValueError as exc:  # the delimiter is the field CsvSchema checks
         raise UsageError(f"{settings.source('delimiter')}: {exc}") from exc
     try:
@@ -241,17 +278,12 @@ def _unfittable(
 
 
 def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
-    threshold = settings.number("threshold", 0.015)
-    theta = settings.number("theta", None)
-    method = settings.choice("method", "average", LINKAGE_METHODS)
-    tree_file = settings.text("tree")
-    data = settings.text("data")
-
+    threshold, tree_file, data = settings["threshold"], settings["tree"], settings["data"]
     # the Hurst fit needs MIN_SERIES_LENGTH log-prices, one more than returns
-    panel, ingestion = _load_panel(data, settings, MIN_SERIES_LENGTH - 1)
+    panel, ingestion = _load_panel(settings, MIN_SERIES_LENGTH - 1)
     manifest.stage("load")
 
-    scheme = exp_weights(panel.n_times, panel.n_times / 3.0 if theta is None else theta)
+    scheme = exp_weights(panel.n_times, settings["theta"] or panel.n_times / 3.0)
     try:
         corr = weighted_pearson_matrix(panel, scheme)
     except ValueError as exc:  # a zero-variance error names the ticker but not the file
@@ -264,7 +296,7 @@ def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
         if set(tree.leaves) != set(panel.assets):
             raise UsageError("imported tree leaves do not match panel assets")
     else:
-        tree = linkage_cluster(corr_to_distance(corr), panel.assets, method)
+        tree = linkage_cluster(corr_to_distance(corr), panel.assets, settings["method"])
     orders = order_profile(tree)
     manifest.stage("dependence")
 
@@ -367,10 +399,9 @@ def _simulate_one(item: tuple[int, dict], out_dir: str) -> str:
 def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
     if not settings.args.config:
         raise UsageError("simulate requires --config pointing at a model spec")
-    repeat = settings.count("repeat", 1, 1)
-    if settings.get("seed") is None:
+    base_seed = settings["seed"]
+    if base_seed is None:
         raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
-    base_seed = settings.count("seed", None, 0)
 
     base_dir = Path(settings.args.config).resolve().parent
     # validate the spec once up front so errors surface before any run
@@ -382,7 +413,7 @@ def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
 
     payloads = [
         {"config": settings.config, "base_dir": str(base_dir), "seed": base_seed + r}
-        for r in range(repeat)
+        for r in range(settings["repeat"])
     ]
     worker = functools.partial(_simulate_one, out_dir=str(manifest.out_dir))
     run_dirs = parallel_map(worker, list(enumerate(payloads)), jobs=settings.args.jobs)
@@ -394,11 +425,7 @@ def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
 
 
 def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
-    length = settings.count("window-length", 752)
-    count = settings.count("window-count", 50, 1)
-    theta = settings.number("theta", 250.0)
-    method = settings.choice("method", "average", LINKAGE_METHODS)
-    data = settings.text("data")
+    length, count, theta = settings["window-length"], settings["window-count"], settings["theta"]
     # a window of `length` returns gives length + 1 log-prices to estimate_ghe
     if length + 1 < MIN_SERIES_LENGTH:
         raise UsageError(
@@ -406,7 +433,7 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
             f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
         )
 
-    panel, ingestion = _load_panel(data, settings, length)
+    panel, ingestion = _load_panel(settings, length)
     spec = WindowSpec(length=length, count=count)
     try:
         windows = rolling_windows(panel, spec)
@@ -420,12 +447,12 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
     try:
         window_ghe = estimate_ghe(panel.log_price_paths(), windows=spec)
     except DegenerateMomentError as exc:
-        raise _unfittable(exc, data, panel, windows) from exc
+        raise _unfittable(exc, settings["data"], panel, windows) from exc
     rows = []
     for w_index, (window, estimates) in enumerate(zip(windows, window_ghe)):
         corr = weighted_pearson_matrix(window, scheme)
         off = corr.offdiagonal()
-        tree = linkage_cluster(corr_to_distance(corr), window.assets, method)
+        tree = linkage_cluster(corr_to_distance(corr), window.assets, settings["method"])
         orders = order_profile(tree)
         cut = cluster_cut(tree)
         dhs = [delta_h(est) for est in estimates]
@@ -550,29 +577,21 @@ def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float 
 
 
 def cmd_validate_model(settings: Settings, manifest: Manifest) -> int:
-    seed = settings.count("seed", 0, 0)
-    steps = settings.count("steps", 1_000_000, 2)
-    # the default band is calibrated at 1e6 steps; scale it for shorter runs
-    default_tolerance = 0.02 * max(1.0, (1_000_000 / steps) ** 0.5)
-    tolerance = settings.number("tolerance", default_tolerance)
+    seed, steps, tolerance = settings["seed"], settings["steps"], settings["tolerance"]
+    n_seeds, min_ratio = settings["dispersion-seeds"], settings["min-dispersion-ratio"]
     if tolerance >= 2:  # no correlation deviation exceeds 2, so no check could fail
         name = "tolerance" if settings.given("tolerance") else "steps"
         raise UsageError(
             f"{settings.source(name)} gives a tolerance of {tolerance:g}; it must be below 2 "
             "(the default tolerance is, from 101 steps on)"
         )
-    n_trees = settings.count("trees", 3, 1)
-    # two steps are the fewest a correlation can be measured on
-    length = settings.count("length", 4026, 2)
-    n_seeds = settings.count("dispersion-seeds", 3, 1)
-    min_ratio = settings.number("min-dispersion-ratio", 1.0)
 
     checks = []
-    checks.append(check_equivalence(n_trees, steps, seed, tolerance))
+    checks.append(check_equivalence(settings["trees"], steps, seed, tolerance))
     manifest.stage("equivalence")
-    checks.append(check_median_shift(5, length, seed))
+    checks.append(check_median_shift(5, settings["length"], seed))
     manifest.stage("median_shift")
-    checks.append(check_tau_dispersion(n_seeds, length, seed, min_ratio=min_ratio))
+    checks.append(check_tau_dispersion(n_seeds, settings["length"], seed, min_ratio=min_ratio))
     manifest.stage("tau_dispersion")
 
     passed = all(c["passed"] for c in checks)
@@ -587,23 +606,29 @@ def cmd_validate_model(settings: Settings, manifest: Manifest) -> int:
 
 
 def cmd_calibrate(settings: Settings, manifest: Manifest) -> int:
-    count = settings.count("count", 1000, 10)
-    hurst_min = settings.number("hurst-min", 0.1)
-    hurst_max = settings.number("hurst-max", 0.9)
-    length = settings.count("length", 4026)
-    seed = settings.count("seed", 0, 0)
+    length = settings["length"]
     if length < MIN_SERIES_LENGTH:
         raise UsageError(
             f"{settings.source('length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH}"
         )
     calibration = calibrate_threshold(
-        count, (hurst_min, hurst_max), length, seed, jobs=settings.args.jobs
+        settings["count"], (settings["hurst-min"], settings["hurst-max"]), length,
+        settings["seed"], jobs=settings.args.jobs,
     )
     manifest.stage("calibrate")
     write_json_atomic(manifest.record("threshold.json"), calibration.to_json())
     print(f"threshold = {format_float(calibration.threshold)}")
     return 0
+
+
+_COMMANDS = {
+    "analyze": (cmd_analyze, "orders + multiscaling on a price panel"),
+    "simulate": (cmd_simulate, "simulate the hierarchical model"),
+    "rolling": (cmd_rolling, "windowed dependence/scaling report"),
+    "validate-model": (cmd_validate_model, "simulator-vs-closed-form checks"),
+    "calibrate": (cmd_calibrate, "multiscaling threshold from fBm nulls"),
+}
 
 
 def build_parser() -> _Parser:
@@ -613,48 +638,17 @@ def build_parser() -> _Parser:
     common.add_argument("--jobs", type=_worker_count, default=1, help="worker processes")
     common.add_argument("--out", help="output directory (default hiermf-out)")
 
-    prices = argparse.ArgumentParser(add_help=False)
-    prices.add_argument("--data", help="prices CSV (one date column, one column per ticker)")
-    prices.add_argument("--date-column")
-    prices.add_argument("--delimiter")
-    prices.add_argument("--method", choices=LINKAGE_METHODS)
-
     parser = _Parser(prog="hiermf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "analyze", parents=[common, prices], help="orders + multiscaling on a price panel"
-    )
-    p.add_argument("--threshold", type=float, help="dH significance cutoff; <= 0 disables")
-    p.add_argument("--theta", type=float, help="weight decay (default rows/3)")
-    p.add_argument("--tree", help="import a dendrogram JSON instead of clustering")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", parents=[common], help="simulate the hierarchical model")
-    p.add_argument("--repeat", type=int, help="independent realizations (default 1)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "rolling", parents=[common, prices], help="windowed dependence/scaling report"
-    )
-    p.add_argument("--window-length", type=int)
-    p.add_argument("--window-count", type=int)
-    p.add_argument("--theta", type=float)
-    p.set_defaults(func=cmd_rolling)
-
-    p = sub.add_parser("validate-model", parents=[common], help="simulator-vs-closed-form checks")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--length", type=int)
-    p.set_defaults(func=cmd_validate_model)
-
-    p = sub.add_parser("calibrate", parents=[common], help="multiscaling threshold from fBm nulls")
-    p.add_argument("--count", type=int)
-    p.add_argument("--hurst-min", type=float)
-    p.add_argument("--hurst-max", type=float)
-    p.add_argument("--length", type=int)
-    p.set_defaults(func=cmd_calibrate)
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=summary)
+        for name, (kind, default, _, text) in SETTINGS[command].items():
+            if text is None or name == "seed":  # config-only, or the common --seed
+                continue
+            if default is not None and not callable(default):
+                text += f" (default {default!r})"
+            kind_arg = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(f"--{name}", help=text, **kind_arg)
     return parser
 
 
@@ -673,14 +667,14 @@ def main(argv=None) -> int:
             out = Path(args.out or "hiermf-out")
             out.mkdir(parents=True, exist_ok=True)
             manifest = Manifest(out, args.command)
-            status = args.func(settings, manifest)
+            status = _COMMANDS[args.command][0](settings, manifest)
         except (UsageError, ValueError) as exc:
             for message in _messages(caught):
                 print(f"warning: {message}", file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)
             return 1
     # the config file's keys, with every setting the command read laid over them
-    manifest.write({**settings.config, **settings.read}, _messages(caught))
+    manifest.write({**settings.config, **settings}, _messages(caught))
     return status
 
 

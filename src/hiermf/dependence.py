@@ -48,9 +48,9 @@ class WeightScheme:
         object.__setattr__(self, "weights", w)
         if w.shape != (self.delta_t,):
             raise ValueError(f"expected {self.delta_t} weights, got {w.shape}")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # negated tests, so that a NaN weight fails them
             raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("weights must sum to 1")
         w.flags.writeable = False
 
@@ -63,7 +63,7 @@ def exp_weights(delta_t: int, theta: float) -> WeightScheme:
     """
     if delta_t < 2:
         raise ValueError("delta_t must be >= 2")
-    if theta <= 0:
+    if not theta > 0:  # a NaN theta fails too
         raise ValueError("theta must be positive")
     t = np.arange(1, delta_t + 1, dtype=float)
     w = np.exp((t - delta_t) / theta)

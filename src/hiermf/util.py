@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -75,9 +76,12 @@ def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
 
 
 def checked_number(value: Any, name: str) -> float:
-    """`value` as a float if it is an int or a float but not a bool; errors name `name`."""
+    """`value` as a float if it is a finite int or float but not a bool; errors name `name`."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    # JSON and argparse both take NaN and infinities; NaN fails any comparison
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 

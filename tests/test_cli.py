@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,13 @@ BAD_MODEL_SPECS = [
     ({"regimes.0.tree": 5}, "regime 0 key 'tree' must be a file name, got 5"),
     ({"regimes.0.inherit_previous": "no"},
      "regime 0 key 'inherit_previous' must be true or false, got 'no'"),
+    # NaN and infinities, which JSON parsing accepts
+    ({"logvol.lambda": math.nan},
+     "model config key 'logvol.lambda' must be a finite number, got nan"),
+    ({"noise.constant": math.nan},
+     "model config key 'noise.constant' must be a finite number, got nan"),
+    ({"regimes.0.p_range": [0.4, math.inf]},
+     "regime 0 key 'p_range' entry 1 must be a finite number, got inf"),
 ]
 
 
@@ -777,18 +786,22 @@ BAD_SETTINGS = [
     # integers
     ("validate-model", {"trees": 2.7}, "config key 'trees' must be an integer, got 2.7"),
     ("validate-model", {"steps": "lots"}, "config key 'steps' must be an integer, got 'lots'"),
-    ("validate-model", {"dispersion-seeds": True}, "config key 'dispersion-seeds' must be an integer"),
-    ("validate-model", {"length": 400.5}, "config key 'length' must be an integer"),
-    ("calibrate", {"count": "100"}, "config key 'count' must be an integer"),
-    ("calibrate", {"length": 400.0}, "config key 'length' must be an integer"),
-    ("simulate", {"repeat": 2.5}, "config key 'repeat' must be an integer"),
+    ("validate-model", {"dispersion-seeds": True},
+     "config key 'dispersion-seeds' must be an integer, got True"),
+    ("validate-model", {"length": 400.5}, "config key 'length' must be an integer, got 400.5"),
+    ("calibrate", {"count": "100"}, "config key 'count' must be an integer, got '100'"),
+    ("calibrate", {"length": 400.0}, "config key 'length' must be an integer, got 400.0"),
+    ("simulate", {"repeat": 2.5}, "config key 'repeat' must be an integer, got 2.5"),
     ("rolling", {"window-length": 200.9}, "config key 'window-length' must be an integer, got 200.9"),
-    ("rolling", {"window-count": "5"}, "config key 'window-count' must be an integer"),
+    ("rolling", {"window-count": "5"}, "config key 'window-count' must be an integer, got '5'"),
     ("rolling", {"window-count": 0}, "config key 'window-count' must be >= 1, got 0"),
     ("calibrate", {"count": 5}, "config key 'count' must be >= 10, got 5"),
     # too short for the Hurst fit
-    ("rolling", {"window-length": 100}, "config key 'window-length' 100 is too short"),
-    ("calibrate", {"length": 100}, "config key 'length' 100 is too short"),
+    ("rolling", {"window-length": 100},
+     "config key 'window-length' 100 is too short for the Hurst fit; "
+     "need at least 189 returns per window"),
+    ("calibrate", {"length": 100},
+     "config key 'length' 100 is too short for the Hurst fit; need at least 190"),
     # seeds
     ("validate-model", {"seed": "7"}, "config key 'seed' must be an integer, got '7'"),
     ("validate-model", {"seed": 7.9}, "config key 'seed' must be an integer, got 7.9"),
@@ -801,10 +814,11 @@ BAD_SETTINGS = [
     ("analyze", {"threshold": "abc"}, "config key 'threshold' must be a number, got 'abc'"),
     ("analyze", {"theta": True}, "config key 'theta' must be a number, got True"),
     ("rolling", {"theta": "abc"}, "config key 'theta' must be a number, got 'abc'"),
-    ("validate-model", {"tolerance": "abc"}, "config key 'tolerance' must be a number"),
-    ("validate-model", {"min-dispersion-ratio": True}, "config key 'min-dispersion-ratio' must be a number"),
-    ("calibrate", {"hurst-min": "abc"}, "config key 'hurst-min' must be a number"),
-    ("calibrate", {"hurst-max": True}, "config key 'hurst-max' must be a number"),
+    ("validate-model", {"tolerance": "abc"}, "config key 'tolerance' must be a number, got 'abc'"),
+    ("validate-model", {"min-dispersion-ratio": True},
+     "config key 'min-dispersion-ratio' must be a number, got True"),
+    ("calibrate", {"hurst-min": "abc"}, "config key 'hurst-min' must be a number, got 'abc'"),
+    ("calibrate", {"hurst-max": True}, "config key 'hurst-max' must be a number, got True"),
     # strings
     ("analyze", {"data": 5}, "config key 'data' must be a string, got 5"),
     ("analyze", {"tree": 5}, "config key 'tree' must be a string, got 5"),
@@ -827,6 +841,22 @@ BAD_SETTINGS = [
     ("analyze", {"delimiter": '"'}, f"config key 'delimiter': {BAD_DELIMITER}, got '\"'"),
     ("rolling", {"delimiter": "\n"}, f"config key 'delimiter': {BAD_DELIMITER}, got '\\n'"),
     ("analyze", {"delimiter": "\r"}, f"config key 'delimiter': {BAD_DELIMITER}, got '\\r'"),
+    # NaN and infinities, which JSON parsing accepts
+    ("analyze", {"theta": math.nan}, "config key 'theta' must be a finite number, got nan"),
+    ("rolling", {"theta": math.inf}, "config key 'theta' must be a finite number, got inf"),
+    ("analyze", {"threshold": math.nan},
+     "config key 'threshold' must be a finite number, got nan"),
+    ("validate-model", {"tolerance": math.nan},
+     "config key 'tolerance' must be a finite number, got nan"),
+    ("validate-model", {"min-dispersion-ratio": -math.inf},
+     "config key 'min-dispersion-ratio' must be a finite number, got -inf"),
+    ("calibrate", {"hurst-min": math.nan},
+     "config key 'hurst-min' must be a finite number, got nan"),
+    ("calibrate", {"hurst-max": math.inf},
+     "config key 'hurst-max' must be a finite number, got inf"),
+    # a weight decay must be positive, checked before the panel is loaded
+    ("analyze", {"theta": 0}, "config key 'theta' must be > 0, got 0.0"),
+    ("rolling", {"theta": -3}, "config key 'theta' must be > 0, got -3.0"),
 ]
 
 
@@ -852,7 +882,7 @@ def test_config_values_of_the_wrong_type_name_the_key(
     out = tmp_path / "out"
     rc = main([command, "--config", str(path), "--out", str(out)])
     assert rc == 1
-    assert named in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {named}\n"
     assert not (out / "manifest.json").exists()
 
 
@@ -944,3 +974,55 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["analyze", "--data", "prices.csv", "--theta", "nan"],
+         "--theta must be a finite number, got nan"),
+        (["analyze", "--data", "prices.csv", "--theta", "0"], "--theta must be > 0, got 0.0"),
+        (["rolling", "--data", "prices.csv", "--theta=-inf"],
+         "--theta must be a finite number, got -inf"),
+        (["validate-model", "--tolerance", "nan"], "--tolerance must be a finite number, got nan"),
+        (["calibrate", "--hurst-min", "nan"], "--hurst-min must be a finite number, got nan"),
+    ],
+)
+def test_non_finite_or_non_positive_flags_exit_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, named
+):
+    monkeypatch.setattr(cli.dhm_mod, "sample_correlation", _no_work)
+    monkeypatch.setattr(cli, "calibrate_threshold", _no_work)
+    monkeypatch.setattr(cli, "load_prices_csv", _no_work)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.SETTINGS))
+def test_help_lists_every_flag_of_the_command(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    for name, (*_, help_text) in cli.SETTINGS[command].items():
+        # a setting without help is config-only
+        assert (f"--{name} " in text) == (help_text is not None), name
+
+
+def test_readme_lists_each_setting_under_its_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {
+        kind: set(re.findall(r"`([^`]+)`", names))
+        for kind, names in re.findall(
+            r"^- (integer|number|string|config-only) keys[^:]*:(.*)$", readme, re.MULTILINE
+        )
+    }
+    declared = {"integer": set(), "number": set(), "string": set(), "config-only": set()}
+    for table in cli.SETTINGS.values():
+        for name, (kind, _, _, help_text) in table.items():
+            declared[{int: "integer", float: "number"}.get(kind, "string")].add(name)
+            if help_text is None:
+                declared["config-only"].add(name)
+    assert listed == declared

@@ -6,6 +6,7 @@ import pytest
 
 from hiermf.dependence import (
     CorrelationMatrix,
+    WeightScheme,
     corr_to_distance,
     elliptical_tau,
     exp_weights,
@@ -55,6 +56,15 @@ def test_exp_weights_validation():
         exp_weights(1, 1.0)
     with pytest.raises(ValueError):
         exp_weights(10, 0.0)
+
+
+def test_nan_theta_and_nan_weights_are_rejected():
+    with pytest.raises(ValueError, match="theta must be positive"):
+        exp_weights(10, math.nan)
+    with pytest.raises(ValueError, match="strictly positive"):
+        WeightScheme(delta_t=3, theta=1.0, weights=np.array([0.5, math.nan, 0.5]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        WeightScheme(delta_t=2, theta=1.0, weights=np.full(2, math.nan))
 
 
 # --- weighted Pearson ---
