@@ -606,6 +606,14 @@ def cmd_validate_model(settings: Settings, manifest: Manifest) -> int:
 
 
 def cmd_calibrate(settings: Settings, manifest: Manifest) -> int:
+    lo, hi = settings["hurst-min"], settings["hurst-max"]
+    for name, value in (("hurst-min", lo), ("hurst-max", hi)):
+        if not 0 < value < 1:  # a default is inside, so the bad end was set
+            raise UsageError(f"{settings.source(name)} must be inside (0, 1), got {value!r}")
+    if lo > hi:
+        ends = [f"{settings.source(name)} {settings[name]!r}" if settings.given(name)
+                else f"the default {name} {settings[name]!r}" for name in ("hurst-min", "hurst-max")]
+        raise UsageError(f"the Hurst range is inverted: {ends[0]} is above {ends[1]}")
     length = settings["length"]
     if length < MIN_SERIES_LENGTH:
         raise UsageError(
@@ -613,7 +621,7 @@ def cmd_calibrate(settings: Settings, manifest: Manifest) -> int:
             f"need at least {MIN_SERIES_LENGTH}"
         )
     calibration = calibrate_threshold(
-        settings["count"], (settings["hurst-min"], settings["hurst-max"]), length,
+        settings["count"], (lo, hi), length,
         settings["seed"], jobs=settings.args.jobs,
     )
     manifest.stage("calibrate")

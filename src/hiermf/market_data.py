@@ -18,6 +18,9 @@ import numpy as np
 
 from hiermf.util import decoded_lines
 
+# rows parsed at a time: a load holds the price array plus one block's cell strings
+LOAD_BLOCK_ROWS = 256
+
 __all__ = [
     "PricePanel",
     "ReturnsPanel",
@@ -197,6 +200,9 @@ def load_prices_csv(
     an error; a repeated date column, or a repeated name picked once through
     `CsvSchema.price_columns`, reads the last column of that name. Line
     numbers in errors are physical lines of the file.
+
+    The file is read once and parsed every LOAD_BLOCK_ROWS kept rows, so a
+    load holds the price array plus one block's cell strings.
     """
     schema = schema or CsvSchema()
     path = Path(path)
@@ -218,30 +224,30 @@ def load_prices_csv(
         if len(set(tickers)) < len(tickers):
             dup = next(t for k, t in enumerate(tickers) if t in tickers[:k])
             raise ValueError(f"{path}: duplicate price column {dup!r}")
-        # each kept row with the physical line it ends on, for error messages
-        rows, lines = [], []
+        # the last column of a repeated name wins
+        position = {name: j for j, name in enumerate(header)}
+        picked = [position[schema.date_column], *(position[t] for t in tickers)]
+        pick, width = operator.itemgetter(*picked), 1 + max(picked)
+        # parse every LOAD_BLOCK_ROWS kept rows, so only one block's cell strings are alive
+        rows, lines, dates, blocks = [], [], [], []
         for row in reader:
             if row:
                 rows.append(row)
+                # the physical line each kept row ends on, for error messages
                 lines.append(reader.line_num)
-    if not rows:
+                if len(rows) == LOAD_BLOCK_ROWS:
+                    blocks.append(_parse_block(rows, width, pick, dates))
+                    rows = []
+        if rows:
+            blocks.append(_parse_block(rows, width, pick, dates))
+            del rows
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
 
-    # the last column of a repeated name wins
-    position = {name: j for j, name in enumerate(header)}
-    width = 1 + max(position[c] for c in (schema.date_column, *tickers))
-    if min(map(len, rows)) < width:
-        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
-    columns = list(zip(*rows))
-    del rows
-
-    dates = tuple(map(str.strip, columns[position[schema.date_column]]))
+    dates = tuple(dates)
     _check_dates(path, dates, lines)
-
-    prices = np.empty((len(dates), len(tickers)))
-    for k, t in enumerate(tickers):
-        prices[:, k] = _parse_column(columns[position[t]])
-        columns[position[t]] = ()  # release the parsed cells before the next column
+    prices = np.concatenate(blocks)
+    del blocks
     valid = _valid(prices)
     prices[~valid] = math.nan
     kept = np.count_nonzero(valid, axis=0)
@@ -258,12 +264,28 @@ def _valid(prices: np.ndarray) -> np.ndarray:
     return (prices > 0) & (prices < math.inf)
 
 
-def _parse_column(cells: Sequence[str]) -> np.ndarray:
-    """float() of each stripped cell; a cell float() rejects becomes NaN."""
+def _parse_block(
+    rows: list[list[str]], width: int, pick: operator.itemgetter, dates: list[str]
+) -> np.ndarray:
+    """Prices of a block of rows, as (rows x tickers); appends the rows' dates to `dates`.
+
+    `pick` selects the date cell and then each ticker's cell of a row. A short
+    row reads as blank cells, and a blank cell is NaN. float() parses the rest,
+    and only a block holding a cell that float() rejects goes cell by cell.
+    """
+    if min(map(len, rows)) < width:
+        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
+    cells = list(map(str.strip, itertools.chain.from_iterable(map(pick, rows))))
+    stride = len(cells) // len(rows)  # the date cell and each ticker's
+    dates += cells[::stride]
+    del cells[::stride]
+    if "" in cells:
+        cells = [c or "nan" for c in cells]
     try:
-        return np.array(list(map(float, map(str.strip, cells))))
+        values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return np.array([_parse_cell(c.strip()) for c in cells])
+        values = np.fromiter(map(_parse_cell, cells), float, len(cells))
+    return values.reshape(len(rows), stride - 1)
 
 
 def _parse_cell(cell: str) -> float:

@@ -364,11 +364,13 @@ def calibrate_threshold(
     """
     if count < 10:
         raise ValueError("need at least 10 realizations")
-    if count < 100:
-        warnings.warn("low realization count", UserWarning, stacklevel=2)
     lo, hi = float(hurst_range[0]), float(hurst_range[1])
+    if lo > hi:
+        raise ValueError(f"hurst range {hurst_range} is inverted")
     if not (0 < lo <= hi < 1):
         raise ValueError(f"hurst range {hurst_range} not inside (0, 1)")
+    if count < 100:
+        warnings.warn("low realization count", UserWarning, stacklevel=2)
     worker = functools.partial(_calibration_draw, seed=seed, lo=lo, hi=hi, length=length)
     sample = np.asarray(parallel_map(worker, range(count), jobs=jobs))
     threshold = float(np.percentile(sample, 97.5))

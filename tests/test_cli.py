@@ -857,6 +857,11 @@ BAD_SETTINGS = [
     # a weight decay must be positive, checked before the panel is loaded
     ("analyze", {"theta": 0}, "config key 'theta' must be > 0, got 0.0"),
     ("rolling", {"theta": -3}, "config key 'theta' must be > 0, got -3.0"),
+    # a Hurst range outside (0, 1) or inverted, checked before the low-count warning
+    ("calibrate", {"hurst-min": 0}, "config key 'hurst-min' must be inside (0, 1), got 0.0"),
+    ("calibrate", {"hurst-max": 1.5}, "config key 'hurst-max' must be inside (0, 1), got 1.5"),
+    ("calibrate", {"hurst-min": 0.95},
+     "the Hurst range is inverted: config key 'hurst-min' 0.95 is above the default hurst-max 0.9"),
 ]
 
 
@@ -986,6 +991,11 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
          "--theta must be a finite number, got -inf"),
         (["validate-model", "--tolerance", "nan"], "--tolerance must be a finite number, got nan"),
         (["calibrate", "--hurst-min", "nan"], "--hurst-min must be a finite number, got nan"),
+        (["calibrate", "--hurst-min", "0.95", "--count", "10", "--length", "200"],
+         "the Hurst range is inverted: --hurst-min 0.95 is above the default hurst-max 0.9"),
+        (["calibrate", "--hurst-max", "0.05"],
+         "the Hurst range is inverted: the default hurst-min 0.1 is above --hurst-max 0.05"),
+        (["calibrate", "--hurst-max", "1"], "--hurst-max must be inside (0, 1), got 1.0"),
     ],
 )
 def test_non_finite_or_non_positive_flags_exit_before_any_work(

@@ -300,11 +300,8 @@ ORACLE_FILES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FILES))
-def test_loader_matches_dictreader_reference(tmp_path, name):
-    text, schema = ORACLE_FILES[name]
-    f = tmp_path / f"{name}.csv"
-    f.write_text(text)
+def assert_loader_matches_reference(f, schema=None):
+    """load_prices_csv and the DictReader reference give the same columns, drops or error."""
     expected = load_outcome(reference_load_prices_csv, f, schema)
     got = load_outcome(load_prices_csv, f, schema)
     if isinstance(expected, str):
@@ -320,6 +317,14 @@ def test_loader_matches_dictreader_reference(tmp_path, name):
         got_stamps, got_prices = column(panel, t)
         assert got_stamps == stamps
         assert got_prices.tobytes() == prices.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FILES))
+def test_loader_matches_dictreader_reference(tmp_path, name):
+    text, schema = ORACLE_FILES[name]
+    f = tmp_path / f"{name}.csv"
+    f.write_text(text)
+    assert_loader_matches_reference(f, schema)
 
 
 def test_loader_cell_rules(tmp_path):
@@ -455,6 +460,37 @@ def test_loader_keeps_each_tickers_valid_dates(tmp_path):
     assert math.isnan(panel.prices[1, 1])
 
 
+BLOCK = market_data.LOAD_BLOCK_ROWS
+
+
+def straddling_rows(n_rows=2 * BLOCK + 1):
+    """Rows of a 3-ticker price CSV with odd rows at each block edge.
+
+    The last two rows of a block hold a price cell quoted over two lines and
+    a short row, blank lines follow the block, and the next block starts
+    with a short row.
+    """
+    rows = ["date,A,B,C"]
+    for t in range(n_rows):
+        cells = [f"{10000 + t}", f"{100 + t}", f"{200 + t / 2}", f"{300 - t / 4}"]
+        if t % BLOCK == BLOCK - 2:
+            cells[2] = f'"{cells[2]}\n"'
+        if t % BLOCK == BLOCK - 1 or (t and t % BLOCK == 0):
+            cells = cells[: 1 + t % 2]
+        rows.append(",".join(cells))
+        if t % BLOCK == BLOCK - 1:
+            rows += ["", ""]
+    return rows
+
+
+def last_row_error(last, message):
+    """(text, message) of straddling_rows() ending in the row `last`; the message names its physical line."""
+    rows = straddling_rows()
+    rows[-1] = last
+    text = "\n".join(rows) + "\n"
+    return text, f":{text.count(chr(10))}: {message}"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -462,8 +498,13 @@ def test_loader_keeps_each_tickers_valid_dates(tmp_path):
          ":6: dates not strictly increasing ('2020-01-02' after '2020-01-03')"),
         ("date,A\n\n2020-01-01,1\n\n,2\n", ":5: empty date"),
         ('date,A\n2020-01-02,"1\n"\n2020-01-01,2\n', ":4: dates not strictly increasing"),
+        # blank lines and a two-line cell at each block edge before the bad row
+        last_row_error("10000,1,2,3",
+                       f"dates not strictly increasing ('10000' after '{10000 + 2 * BLOCK - 1}')"),
+        last_row_error(",1,2,3", "empty date"),
     ],
-    ids=["blank_lines", "blank_lines_then_empty_date", "multiline_quoted_cell"],
+    ids=["blank_lines", "blank_lines_then_empty_date", "multiline_quoted_cell",
+         "last_block_out_of_order", "last_block_empty_date"],
 )
 def test_date_errors_name_the_physical_line(tmp_path, text, message):
     f = tmp_path / "p.csv"
@@ -493,6 +534,76 @@ def test_date_error_reads_the_file_once_and_keeps_its_line(tmp_path, monkeypatch
         f"{f}:4: dates not strictly increasing ('2020-01-01' after '2020-01-02')"
     )
     assert opened == [f]
+
+
+@pytest.mark.parametrize(
+    "n_rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+    ids=["block-1", "block", "block+1", "2block+1"],
+)
+def test_loader_matches_the_oracle_at_block_edges(tmp_path, n_rows):
+    f = tmp_path / "p.csv"
+    write_gappy_panel(f, n_rows=n_rows, seed=n_rows, edit=_scattered_bad_cells)
+    assert_loader_matches_reference(f)
+    assert matrix_returns(f, scale=2) == reference_returns(f, scale=2)
+
+
+def test_blank_lines_short_rows_and_quoted_cells_at_block_edges_match_the_oracle(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("\n".join(straddling_rows()) + "\n")
+    panel, report = load_prices_csv(f)
+    assert panel.prices.shape == (2 * BLOCK + 1, 3)
+    assert report.drop_counts == {"A": 2, "B": 4, "C": 4}
+    assert_loader_matches_reference(f)
+    assert matrix_returns(f) == reference_returns(f)
+
+
+def test_a_ticker_valid_only_in_the_last_block_is_named(tmp_path):
+    rows = straddling_rows()
+    for k in range(1, len(rows) - 1):
+        cells = rows[k].split(",")
+        if len(cells) == 4:  # blank C's cell; short rows and blank lines have none
+            rows[k] = ",".join(cells[:3] + [""])
+    f = tmp_path / "p.csv"
+    f.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_prices_csv(f)
+    assert str(info.value) == f"{f}: ticker 'C' has fewer than 2 valid rows"
+
+
+def test_load_memory_is_the_price_array_plus_one_block(tmp_path):
+    # half the 40.6 MB peak of a loader that holds every cell string of this file at once
+    f = tmp_path / "wide.csv"
+    write_gappy_panel(f, n_rows=1260, n_tickers=400, seed=1, edit=_scattered_bad_cells)
+    tracemalloc.start()
+    try:
+        panel, _ = load_prices_csv(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.prices.shape == (1260, 400)
+    assert peak <= 0.5 * 40.6e6
+
+
+def test_blank_and_padded_cells_skip_the_per_cell_parse(tmp_path, monkeypatch):
+    parsed, parse_cell = [], market_data._parse_cell
+
+    def record(cell):
+        parsed.append(cell)
+        return parse_cell(cell)
+
+    monkeypatch.setattr(market_data, "_parse_cell", record)
+    f = tmp_path / "p.csv"
+    f.write_text("\n".join(straddling_rows()) + "\n")
+    panel, report = load_prices_csv(f)
+    assert parsed == [] and report.drop_counts == {"A": 2, "B": 4, "C": 4}
+    write_gappy_panel(f, n_rows=2 * BLOCK, edit=_all_of_them)
+    load_prices_csv(f)
+    assert parsed == []
+
+    f.write_text("date,A,B\nd1,1,\nd2, abc ,2\nd3,3,  \nd4,4\nd5,5,6\n")
+    panel, report = load_prices_csv(f)
+    assert "abc" in parsed and report.drop_counts == {"A": 1, "B": 3}
+    assert math.isnan(panel.prices[1, 0])
 
 
 # --- domain type validation ---

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -472,3 +474,16 @@ def test_tiny_count_rejected():
 def test_bad_hurst_range():
     with pytest.raises(ValueError):
         calibrate_threshold(100, (0.0, 0.9), 400, seed=1)
+
+
+@pytest.mark.parametrize(
+    "hurst_range, message",
+    [((0.95, 0.9), r"hurst range \(0.95, 0.9\) is inverted"),
+     ((0.0, 0.9), r"hurst range \(0.0, 0.9\) not inside \(0, 1\)")],
+    ids=["inverted", "outside"],
+)
+def test_bad_hurst_range_fails_before_the_low_count_warning(hurst_range, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            calibrate_threshold(20, hurst_range, 400, seed=1)
