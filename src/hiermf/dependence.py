@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from hiermf.market_data import ReturnsPanel
 from hiermf.util import decoded_lines, write_csv
@@ -160,6 +159,8 @@ def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
             raise ValueError(f"{name} contains non-finite values")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("tau undefined for a constant input")
+    from scipy import stats  # on first use: importing scipy.stats costs about 46 MB and 1 s
+
     return float(stats.kendalltau(x, y).statistic)
 
 

@@ -369,7 +369,7 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
         pass
 
     panel = ReturnsPanel(
-        assets=spec.noise.assets, times=tuple(range(spec.length)), values=values, scale=1
+        assets=spec.noise.assets, times=range(spec.length), values=values, scale=1
     )
     return SimulationOutput(
         returns=panel,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "OrderProfileStats",
@@ -106,7 +105,10 @@ def trend_test(x: Sequence[float], y: Sequence[float]) -> TrendTest:
     if abs(r) == 1.0:
         return TrendTest(r=r, t=math.copysign(math.inf, r), p_value=0.0, n=n)
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stats.t.sf(abs(t), df=n - 2))
+    # stats.t.sf(|t|, df) evaluates stdtr(df, -|t|); calling it directly spares importing scipy.stats
+    from scipy.special import stdtr
+
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return TrendTest(r=r, t=t, p_value=p, n=n)
 
 

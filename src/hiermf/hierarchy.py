@@ -405,7 +405,7 @@ def bootstrap_orders(
             rows = rng.integers(0, t, size=t)
             resampled = ReturnsPanel(
                 assets=panel.assets,
-                times=tuple(range(t)),
+                times=range(t),
                 values=panel.values[rows],
                 scale=panel.scale,
             )

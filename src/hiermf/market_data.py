@@ -65,7 +65,7 @@ class ReturnsPanel:
     """Time x asset matrix of log-returns at a common scale (in trading days)."""
 
     assets: tuple[str, ...]
-    times: tuple
+    times: tuple | range  # a range (simulated step indices) stays lazy
     values: np.ndarray
     scale: int = 1
 
@@ -73,7 +73,8 @@ class ReturnsPanel:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "assets", tuple(self.assets))
-        object.__setattr__(self, "times", tuple(self.times))
+        if not isinstance(self.times, range):
+            object.__setattr__(self, "times", tuple(self.times))
         if values.ndim != 2:
             raise ValueError("values must be a 2-d (time x asset) array")
         if values.shape[1] != len(self.assets):

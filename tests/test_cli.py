@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -152,6 +153,26 @@ def test_simulate_identical_bytes_across_reruns(tmp_path):
     assert (tmp_path / "a/run_0000/returns.csv").read_bytes() == (
         tmp_path / "b/run_0000/returns.csv"
     ).read_bytes()
+
+
+def test_simulate_returns_csv_bytes_match_tuple_times(tmp_path, monkeypatch):
+    """The range of step indices writes the same bytes the old tuple of ints wrote."""
+    config = write_model_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "range")]) == 0
+    simulate = cli.dhm_mod.simulate_returns
+
+    def with_tuple_times(spec):
+        out = simulate(spec)
+        returns = dataclasses.replace(out.returns, times=tuple(out.returns.times))
+        return dataclasses.replace(out, returns=returns)
+
+    monkeypatch.setattr(cli.dhm_mod, "simulate_returns", with_tuple_times)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "tuple")]) == 0
+    lazy = (tmp_path / "range/run_0000/returns.csv").read_bytes()
+    assert lazy == (tmp_path / "tuple/run_0000/returns.csv").read_bytes()
+    assert [line.split(b",")[0] for line in lazy.splitlines()[1:]] == [
+        str(t).encode() for t in range(300)
+    ]
 
 
 def test_simulate_two_regime_full_span(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from hiermf.diagnostics import (
     acf,
@@ -55,9 +56,9 @@ def test_group_means_recombine_to_global_mean():
 
 
 def test_perfect_trend():
-    t = trend_test([1, 2, 3, 4], [2, 4, 6, 8])
-    assert t.r == pytest.approx(1.0)
-    assert t.p_value == 0.0
+    for sign in (1.0, -1.0):
+        t = trend_test([1, 2, 3, 4], [sign * 2, sign * 4, sign * 6, sign * 8])
+        assert (t.r, t.t, t.p_value, t.n) == (sign, sign * math.inf, 0.0, 4)
 
 
 def test_known_r_half_with_twenty_points():
@@ -73,6 +74,31 @@ def test_known_r_half_with_twenty_points():
     assert result.r == pytest.approx(0.5, abs=1e-12)
     assert result.t == pytest.approx(2.449489742783178, abs=1e-9)
     assert result.p_value == pytest.approx(0.0249, abs=2.5e-4)
+
+
+def sample_with_r(n, r):
+    """x = 0..n-1 and a y whose Pearson correlation with x is r, up to rounding."""
+    x = np.arange(n, dtype=float)
+    xc = (x - x.mean()) / np.linalg.norm(x - x.mean())
+    z = np.resize([1.0, -1.0], n)
+    z -= z.mean()
+    z -= z @ xc * xc
+    z /= np.linalg.norm(z)
+    return x, r * xc + math.sqrt(1.0 - r * r) * z
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 50, 400, 4026])
+@pytest.mark.parametrize(
+    "r", [0.0, 0.3, -0.3, 0.9, -0.9, 1 - 1e-6, -(1 - 1e-6), 1 - 1e-9, -(1 - 1e-9), 1 - 1e-12, -(1 - 1e-12)]
+)
+def test_p_value_is_bitwise_scipy_stats_t_sf(n, r):
+    """The scipy.special.stdtr p-value equals the scipy.stats.t.sf one it replaced, bit for bit."""
+    result = trend_test(*sample_with_r(n, r))
+    assert result.r == pytest.approx(r, abs=1e-9)
+    if abs(r) > 1 - 1e-10:
+        assert abs(result.t) > 1e5
+    expected = 2.0 * float(scipy.stats.t.sf(abs(result.t), df=n - 2))
+    assert result.p_value.hex() == expected.hex()
 
 
 def test_null_p_values_are_uniform():

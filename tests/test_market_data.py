@@ -789,6 +789,24 @@ def test_rolling_windows_are_views():
     assert windows[-1].times[-1] == panel.times[-1]
 
 
+def test_returns_panel_keeps_a_range_and_tuples_anything_else():
+    values = np.zeros((4, 1))
+    assert isinstance(ReturnsPanel(("a",), range(4), values).times, range)
+    assert ReturnsPanel(("a",), ["d1", "d2", "d3", "d4"], values).times == ("d1", "d2", "d3", "d4")
+    assert ReturnsPanel(("a",), (t for t in range(4)), values).times == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="4 rows vs 5 times"):
+        ReturnsPanel(("a",), range(5), values)
+
+
+def test_rolling_windows_of_a_range_panel_are_ranges():
+    panel = ReturnsPanel(("a",), range(50), np.arange(50.0)[:, None])
+    spec = WindowSpec(length=20, count=4)
+    windows = rolling_windows(panel, spec)
+    for start, w in zip(spec.starts(50), windows):
+        assert w.times == range(start, start + 20)
+        assert w.values[:, 0].tolist() == list(w.times)
+
+
 # --- alignment ---
 
 
