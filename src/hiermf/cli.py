@@ -25,10 +25,8 @@ from hiermf import __version__
 from hiermf import dhm as dhm_mod
 from hiermf.dependence import (
     corr_to_distance,
-    elliptical_tau,
     exp_weights,
-    kendall_tau,
-    one_factor_correlation,
+    kendall_tau,  # perfbench/selftest.py patches kendall_tau in this namespace
     weighted_pearson_matrix,
     write_correlation_csv,
 )
@@ -39,7 +37,6 @@ from hiermf.hierarchy import (
     linkage_cluster,
     order_profile,
     parse_dendrogram,
-    random_binary_tree,
     serialize_dendrogram,
 )
 from hiermf.market_data import CsvSchema, ReturnsPanel, WindowSpec, load_prices_csv, returns_panel, rolling_windows
@@ -55,12 +52,12 @@ from hiermf.util import (
     checked_number,
     checked_type,
     decoded_lines,
-    derived_rng,
     format_float,
     parallel_map,
     write_csv,
     write_json_atomic,
 )
+from hiermf.validation import check_equivalence, check_median_shift, check_tau_dispersion
 
 
 class UsageError(Exception):
@@ -353,12 +350,8 @@ def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
     return 0
 
 
-def _simulate_one(item: tuple[int, dict], out_dir: str) -> str:
-    run_index, spec_payload = item
-    spec = dhm_mod.load_dhm_config_dict(
-        spec_payload["config"], Path(spec_payload["base_dir"]),
-        seed_override=spec_payload["seed"],
-    )
+def _simulate_one(item: tuple[int, dhm_mod.DhmSpec], out_dir: str) -> str:
+    run_index, spec = item
     result = dhm_mod.simulate_returns(spec)
     run_dir = Path(out_dir) / f"run_{run_index:04d}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -374,25 +367,7 @@ def _simulate_one(item: tuple[int, dict], out_dir: str) -> str:
             ["t", *[f"node_{i}" for i in acts.node_ids]],
             ([start + t, *row] for t, row in enumerate(acts.values.T.tolist())),
         )
-    params = {
-        "seed": spec.seed,
-        "length": spec.length,
-        "assets": list(spec.noise.assets),
-        "regime_durations": [r.duration for r in spec.regimes],
-    }
-    if spec.logvol is not None:
-        params["lambda"] = spec.logvol.lam
-        params["horizon"] = spec.logvol.horizon
-        params["xi_embedding"] = dhm_mod.xi_embedding_report(spec.logvol, spec.length)
-        x_centered = result.x - result.x.mean()
-        params["x_autocovariance"] = {
-            str(lag): float(x_centered[:-lag] @ x_centered[lag:] / x_centered.size)
-            for lag in (1, 5, 10, 50)
-            if lag < spec.length
-        }
-    if spec.noise_variances is not None:
-        params["noise_variances"] = [float(v) for v in spec.noise_variances]
-    write_json_atomic(run_dir / "params.json", params)
+    write_json_atomic(run_dir / "params.json", dhm_mod.simulation_params(spec, result))
     return str(run_dir)
 
 
@@ -404,19 +379,18 @@ def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
         raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
 
     base_dir = Path(settings.args.config).resolve().parent
-    # validate the spec once up front so errors surface before any run
+    # every run's spec is built here, so errors surface before any run
     try:
-        dhm_mod.load_dhm_config_dict(settings.config, base_dir, seed_override=base_seed)
+        specs = [
+            dhm_mod.load_dhm_config_dict(settings.config, base_dir, seed_override=base_seed + r)
+            for r in range(settings["repeat"])
+        ]
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad model spec: {exc}") from exc
     manifest.stage("validate")
 
-    payloads = [
-        {"config": settings.config, "base_dir": str(base_dir), "seed": base_seed + r}
-        for r in range(settings["repeat"])
-    ]
     worker = functools.partial(_simulate_one, out_dir=str(manifest.out_dir))
-    run_dirs = parallel_map(worker, list(enumerate(payloads)), jobs=settings.args.jobs)
+    run_dirs = parallel_map(worker, list(enumerate(specs)), jobs=settings.args.jobs)
     for d in run_dirs:
         for f in sorted(Path(d).iterdir()):
             manifest.record(f.relative_to(manifest.out_dir))
@@ -477,103 +451,6 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
     )
     manifest.stage("write")
     return 0
-
-
-# leaves of each median-shift and dispersion tree, and of the largest equivalence tree
-VALIDATION_LEAVES = 16
-
-
-def check_equivalence(n_trees: int, steps: int, seed: int, tolerance: float) -> dict:
-    """Sample correlations vs the closed-form perturbation, over random trees.
-
-    The common volatility cancels in the correlation, so it stays off here.
-    """
-    per_tree = []
-    for k in range(n_trees):
-        rng = derived_rng(seed, 10, k)
-        n_leaves = int(rng.integers(4, VALIDATION_LEAVES + 1))
-        labels = [f"A{i:02d}" for i in range(n_leaves)]
-        tree = dhm_mod.draw_probabilities(
-            random_binary_tree(n_leaves, rng, labels), 0.0, 1.0, rng
-        )
-        noise = one_factor_correlation(labels, rng)
-        spec = dhm_mod.DhmSpec(
-            noise=noise,
-            regimes=(dhm_mod.Regime(tree=tree, duration=steps),),
-            logvol=None,
-            length=steps,
-            seed=int(derived_rng(seed, 11, k).integers(0, 2**63)),
-        )
-        sample = dhm_mod.sample_correlation(spec)
-        theory = dhm_mod.theoretical_correlation(noise, tree).values
-        dev = float(np.max(np.abs(sample - theory)))
-        per_tree.append({"leaves": n_leaves, "max_abs_deviation": dev})
-    # np.max keeps a NaN deviation, so a check that measured nothing fails
-    worst = float(np.max([t["max_abs_deviation"] for t in per_tree], initial=0.0))
-    return {
-        "check": "mc_vs_closed_form",
-        "trees": n_trees, "steps": steps, "tolerance": tolerance,
-        "max_abs_deviation": worst, "per_tree": per_tree,
-        "passed": worst <= tolerance,
-    }
-
-
-def _hier_flat_returns(
-    seed: int, stream: int, k: int, n_leaves: int, length: int, hier_p: tuple[float, float]
-) -> dict[str, np.ndarray]:
-    """Returns of one random tree and noise under heterogeneous and all-on risks."""
-    rng = derived_rng(seed, stream, k)
-    labels = [f"A{i:02d}" for i in range(n_leaves)]
-    base = random_binary_tree(n_leaves, rng, labels)
-    noise = one_factor_correlation(labels, rng)
-    run_seed = int(rng.integers(0, 2**63))
-    returns = {}
-    for tag, (lo, hi) in {"hier": hier_p, "flat": (1.0, 1.0)}.items():
-        tree = dhm_mod.draw_probabilities(base, lo, hi, derived_rng(seed, stream + 1, k))
-        spec = dhm_mod.DhmSpec(
-            noise=noise, regimes=(dhm_mod.Regime(tree=tree, duration=length),),
-            logvol=dhm_mod.LogVolSpec(), length=length, seed=run_seed,
-        )
-        returns[tag] = dhm_mod.simulate_returns(spec).returns.values
-    return returns
-
-
-def check_median_shift(n_runs: int, length: int, seed: int) -> dict:
-    """Median pair correlation must drop when risks fire heterogeneously."""
-    upper = np.triu_indices(VALIDATION_LEAVES, k=1)
-    shifts = []
-    for k in range(n_runs):
-        returns = _hier_flat_returns(seed, 20, k, VALIDATION_LEAVES, length, (0.1, 0.4))
-        shifts.append({
-            tag: float(np.median(np.corrcoef(values.T)[upper]))
-            for tag, values in returns.items()
-        })
-    passed = all(m["hier"] < m["flat"] for m in shifts)
-    return {
-        "check": "correlation_median_shift", "runs": n_runs, "length": length,
-        "medians": shifts, "passed": passed,
-    }
-
-
-def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float = 1.0) -> dict:
-    """(rho, tau) scatter must sit farther from the elliptical curve under hierarchy."""
-    rms = {"hier": [], "flat": []}
-    for k in range(n_seeds):
-        returns = _hier_flat_returns(seed, 30, k, VALIDATION_LEAVES, length, (0.4, 0.6))
-        for tag, values in returns.items():
-            corr = np.corrcoef(values.T)
-            devs = [
-                kendall_tau(values[:, i], values[:, j]) - elliptical_tau(float(corr[i, j]))
-                for i in range(VALIDATION_LEAVES)
-                for j in range(i + 1, VALIDATION_LEAVES)
-            ]
-            rms[tag].append(float(np.sqrt(np.mean(np.square(devs)))))
-    ratio = float(np.mean(rms["hier"]) / np.mean(rms["flat"]))
-    return {
-        "check": "tau_rho_dispersion", "seeds": n_seeds, "length": length,
-        "rms_hier": rms["hier"], "rms_flat": rms["flat"],
-        "ratio": ratio, "min_ratio": min_ratio, "passed": ratio >= min_ratio,
-    }
 
 
 def cmd_validate_model(settings: Settings, manifest: Manifest) -> int:

@@ -42,6 +42,7 @@ __all__ = [
     "sample_activations",
     "hierarchical_factor",
     "simulate_returns",
+    "simulation_params",
     "sample_correlation",
     "perturbation_factor",
     "theoretical_correlation",
@@ -379,6 +380,29 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
         epsilon=epsilon,
         regime_starts=tuple(accumulate((r.duration for r in spec.regimes[:-1]), initial=0)),
     )
+
+
+def simulation_params(spec: DhmSpec, result: SimulationOutput) -> dict:
+    """A run's params.json record: seed and sizes, plus xi's embedding and x's autocovariances."""
+    params = {
+        "seed": spec.seed,
+        "length": spec.length,
+        "assets": list(spec.noise.assets),
+        "regime_durations": [r.duration for r in spec.regimes],
+    }
+    if spec.logvol is not None:
+        params["lambda"] = spec.logvol.lam
+        params["horizon"] = spec.logvol.horizon
+        params["xi_embedding"] = xi_embedding_report(spec.logvol, spec.length)
+        x_centered = result.x - result.x.mean()
+        params["x_autocovariance"] = {
+            str(lag): float(x_centered[:-lag] @ x_centered[lag:] / x_centered.size)
+            for lag in (1, 5, 10, 50)
+            if lag < spec.length
+        }
+    if spec.noise_variances is not None:
+        params["noise_variances"] = [float(v) for v in spec.noise_variances]
+    return params
 
 
 def sample_correlation(spec: DhmSpec) -> np.ndarray:

@@ -94,6 +94,9 @@ def trend_test(x: Sequence[float], y: Sequence[float]) -> TrendTest:
     n = x.shape[0]
     if n < 3:
         raise ValueError("need at least 3 points")
+    for name, v in (("x", x), ("y", y)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} contains non-finite values")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc)

@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermf import cli
-from hiermf.cli import check_equivalence, main
+from hiermf import cli, dependence, validation
+from hiermf.cli import main
 from hiermf.dhm import RiskTree, simulate_returns, DhmSpec, Regime, LogVolSpec
 from hiermf.dependence import CorrelationMatrix
 from hiermf.hierarchy import comb_tree, random_binary_tree, serialize_dendrogram
 from hiermf.scaling import delta_h, estimate_ghe
+from hiermf.validation import check_equivalence
 
 
 def write_price_csv(path, n_assets=8, length=600, seed=0, drift_vol=0.01):
@@ -541,6 +542,41 @@ def test_analyze_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _per_asset(out):
+    with open(out / "per_asset.csv", newline="") as fh:
+        return {row["asset"]: row for row in csv.DictReader(fh)}
+
+
+@pytest.mark.parametrize("perm_seed", [0, 1])
+def test_analyze_per_asset_results_do_not_depend_on_ticker_order(tmp_path, perm_seed):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=12)
+    rows = [line.split(",") for line in data.read_text().splitlines()]
+    perm = np.random.default_rng(perm_seed).permutation(12) + 1
+    assert list(perm) != list(range(1, 13))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(",".join([r[0], *(r[k] for k in perm)]) + "\n" for r in rows))
+
+    # half the smallest positive dH keeps the assets with dH > 0 and drops the others
+    assert main(["analyze", "--data", str(data), "--threshold", "0", "--out", str(tmp_path / "all")]) == 0
+    dh = [float(row["dH12"]) for row in _per_asset(tmp_path / "all").values()]
+    threshold = repr(min(d for d in dh if d > 0) / 2)
+    for name, path in (("a", data), ("b", shuffled)):
+        rc = main(["analyze", "--data", str(path), "--threshold", threshold,
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+    a, b = _per_asset(tmp_path / "a"), _per_asset(tmp_path / "b")
+    assert 3 <= sum(row["retained"] == "1" for row in a.values()) < 12
+    for asset, row in a.items():
+        for column in ("dH12", "order", "retained"):
+            assert b[asset][column] == row[column], (asset, column)
+    # order_conditional_mean sums each order's dH in asset order, so the trend may move in the last bits
+    trend_a, trend_b = (json.loads((tmp_path / name / "trend_test.json").read_text()) for name in "ab")
+    assert trend_b["n"] == trend_a["n"] >= 3
+    for key in ("r", "t", "p_value"):
+        assert trend_b[key] == pytest.approx(trend_a[key], rel=1e-12, abs=1e-12), key
+
+
 def test_analyze_notes_skipped_trend_test_once_in_manifest(tmp_path, capsys):
     from hiermf.hierarchy import tree_from_leaf_depths
 
@@ -767,6 +803,14 @@ def test_validate_model_rejects_empty_runs_before_simulating(
     assert rc == 1
     assert named in capsys.readouterr().err
     assert not (out / "validation.json").exists()
+
+
+def test_cli_holds_the_names_the_benchmark_traces():
+    # the benchmark traces the checks as cli.check_* and its self-test patches cli.kendall_tau
+    assert cli.check_equivalence is validation.check_equivalence
+    assert cli.check_median_shift is validation.check_median_shift
+    assert cli.check_tau_dispersion is validation.check_tau_dispersion
+    assert cli.kendall_tau is dependence.kendall_tau
 
 
 def test_equivalence_check_fails_when_the_deviation_is_nan():

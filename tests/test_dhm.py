@@ -618,6 +618,30 @@ def test_simulated_times_are_a_range_of_the_steps():
     assert times == range(B + 1)
 
 
+def test_simulation_params_record_the_run():
+    tree = risk_comb(4, 0.5)
+    noise = equicorrelation(tree.leaves, 0.3)
+    spec = DhmSpec(noise=noise, regimes=(Regime(tree, 20), Regime(tree, 20)),
+                   logvol=LogVolSpec(lam=0.3, horizon=50), length=40, seed=8)
+    result = simulate_returns(spec)
+    params = dhm.simulation_params(spec, result)
+    assert params["assets"] == list(tree.leaves)
+    assert (params["seed"], params["length"], params["regime_durations"]) == (8, 40, [20, 20])
+    assert (params["lambda"], params["horizon"]) == (0.3, 50)
+    assert params["xi_embedding"] == xi_embedding_report(spec.logvol, 40)
+    # lag 50 is not below the length, so it is left out
+    assert list(params["x_autocovariance"]) == ["1", "5", "10"]
+    x = result.x - result.x.mean()
+    assert params["x_autocovariance"]["5"] == pytest.approx(np.mean(x[:-5] * x[5:]) * 35 / 40, rel=1e-12)
+    assert "noise_variances" not in params
+
+    flat = dataclasses.replace(spec, logvol=None, noise_variances=np.array([1.0, 2.0, 3.0, 4.0]))
+    params = dhm.simulation_params(flat, simulate_returns(flat))
+    assert params["noise_variances"] == [1.0, 2.0, 3.0, 4.0]
+    assert not {"lambda", "horizon", "xi_embedding", "x_autocovariance"} & set(params)
+    json.dumps(params)  # every value is a JSON type
+
+
 # --- the streamed sample correlation against np.corrcoef of the whole panel ---
 
 

@@ -128,6 +128,16 @@ def test_trend_test_input_validation():
         trend_test([1, 1, 1], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_trend_test_rejects_non_finite_input(name, bad):
+    # max(-1, min(1, nan)) is 1, so an unchecked NaN reads as a perfect trend
+    inputs = {"x": [1.0, 2.0, 3.0, 4.0], "y": [1.0, 2.0, 3.0, 5.0]}
+    inputs[name][2] = bad
+    with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+        trend_test(inputs["x"], inputs["y"])
+
+
 # --- autocorrelation ---
 
 
