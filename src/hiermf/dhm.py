@@ -263,13 +263,12 @@ class DhmSpec:
 
 @dataclass(frozen=True)
 class SimulationOutput:
-    """Simulated panel plus every latent path needed to reconstruct it."""
+    """Simulated panel plus its volatility path x = exp(xi) and each regime's activations."""
 
     returns: ReturnsPanel
     activations: tuple[Activations, ...]
     x: np.ndarray
     xi: np.ndarray
-    epsilon: np.ndarray
     regime_starts: tuple[int, ...]
 
 
@@ -313,15 +312,15 @@ def _return_blocks(
     spec: DhmSpec,
     x: np.ndarray | None,
     activations: Sequence[Activations],
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(epsilon, returns) of each `_row_blocks(spec.length)` block, in row order.
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """The returns of each `_row_blocks(spec.length)` block, in row order.
 
-    Epsilon is one stream (seed, 0) over the whole length. `x` of None leaves
-    the volatility out, which is exact when it is identically 1. A block that
-    crosses a regime boundary takes each regime's risk factors for its own
-    rows. With `out`, a pair of (length, assets) arrays, each block is written
-    into their rows and yielded as views; otherwise each block is new.
+    The noise epsilon is one stream (seed, 0) over the whole length. `x` of
+    None leaves the volatility out, which is exact when it is identically 1.
+    A block that crosses a regime boundary takes each regime's risk factors
+    for its own rows. With `out`, a (length, assets) array, each block is
+    written into its rows and yielded as a view; otherwise each block is new.
     """
     assets = spec.noise.assets
     transform = _noise_transform(spec.noise)
@@ -333,20 +332,15 @@ def _return_blocks(
         regimes.append((t0, t0 + regime.duration, paths, acts.values))
         t0 += regime.duration
     for a, b in _row_blocks(spec.length):
-        if out is None:
-            epsilon, returns = np.empty((b - a, len(assets))), np.empty((b - a, len(assets)))
-        else:
-            epsilon, returns = out[0][a:b], out[1][a:b]
-        np.matmul(eps_rng.standard_normal((b - a, len(assets))), transform, out=epsilon)
-        if x is None:
-            np.copyto(returns, epsilon)
-        else:
-            np.multiply(epsilon, x[a:b, None], out=returns)
+        returns = np.empty((b - a, len(assets))) if out is None else out[a:b]
+        np.matmul(eps_rng.standard_normal((b - a, len(assets))), transform, out=returns)
+        if x is not None:
+            returns *= x[a:b, None]
         for start, end, paths, values in regimes:
             lo, hi = max(a, start), min(b, end)
             if lo < hi:
                 returns[lo - a : hi - a] *= _risk_factors(paths, values[:, lo - start : hi - start])
-        yield epsilon, returns
+        yield returns
 
 
 def simulate_returns(spec: DhmSpec) -> SimulationOutput:
@@ -357,16 +351,15 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     boundary. Noise and Y are built in row blocks, so memory beyond the
     returned arrays stays at about one block.
     """
-    # x and the activations first: their draws' temporaries are freed before the outputs exist
+    # x and the activations first: their draws' temporaries are freed before the output exists
     xi = _xi_path(spec)
     if xi is None:
         xi = np.zeros(spec.length)
     x = np.exp(xi)
     activations = _regime_activations(spec)
 
-    epsilon = np.empty((spec.length, spec.noise.n_assets))
-    values = np.empty_like(epsilon)
-    for _ in _return_blocks(spec, x, activations, out=(epsilon, values)):
+    values = np.empty((spec.length, spec.noise.n_assets))
+    for _ in _return_blocks(spec, x, activations, out=values):
         pass
 
     panel = ReturnsPanel(
@@ -377,7 +370,6 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
         activations=activations,
         x=x,
         xi=xi,
-        epsilon=epsilon,
         regime_starts=tuple(accumulate((r.duration for r in spec.regimes[:-1]), initial=0)),
     )
 
@@ -418,7 +410,7 @@ def sample_correlation(spec: DhmSpec) -> np.ndarray:
     x = None if spec.logvol is None else np.exp(_xi_path(spec))
     n = spec.noise.n_assets
     count, mean, cross = 0, np.zeros(n), np.zeros((n, n))
-    for _, returns in _return_blocks(spec, x, _regime_activations(spec)):
+    for returns in _return_blocks(spec, x, _regime_activations(spec)):
         rows = returns.shape[0]
         block_mean = returns.mean(axis=0)
         returns -= block_mean

@@ -69,6 +69,13 @@ def test_calibrate_reproducible(tmp_path):
     assert (tmp_path / "a/threshold.json").read_bytes() == (tmp_path / "b/threshold.json").read_bytes()
 
 
+def test_calibrate_worker_count_invariant(tmp_path):
+    for jobs in ("1", "2"):
+        args = ["calibrate", "--count", "20", "--length", "200", "--jobs", jobs]
+        assert main(args + ["--out", str(tmp_path / f"j{jobs}")]) == 0
+    assert (tmp_path / "j1/threshold.json").read_bytes() == (tmp_path / "j2/threshold.json").read_bytes()
+
+
 def test_calibrate_rejects_short_length_up_front(tmp_path, capsys):
     rc = main(["calibrate", "--count", "10", "--length", "50", "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -547,34 +554,64 @@ def _per_asset(out):
         return {row["asset"]: row for row in csv.DictReader(fh)}
 
 
-@pytest.mark.parametrize("perm_seed", [0, 1])
-def test_analyze_per_asset_results_do_not_depend_on_ticker_order(tmp_path, perm_seed):
+@pytest.mark.parametrize("transform", [0, 1, "scale"])
+def test_analyze_per_asset_results_do_not_depend_on_ticker_order(tmp_path, transform):
+    """Shuffled ticker columns (a permutation seed) give bitwise-equal dH.
+
+    The "scale" case multiplies T3's prices by 1000 instead: its log returns
+    change by rounding only, so dH moves by rounding and orders stay.
+    """
     data = tmp_path / "prices.csv"
     write_price_csv(data, n_assets=12)
     rows = [line.split(",") for line in data.read_text().splitlines()]
-    perm = np.random.default_rng(perm_seed).permutation(12) + 1
-    assert list(perm) != list(range(1, 13))
-    shuffled = tmp_path / "shuffled.csv"
-    shuffled.write_text("".join(",".join([r[0], *(r[k] for k in perm)]) + "\n" for r in rows))
+    if transform == "scale":
+        rows = [rows[0], *([*r[:4], repr(float(r[4]) * 1000), *r[5:]] for r in rows[1:])]
+        perm, dh_tolerance = range(1, 13), 1e-12
+    else:
+        perm, dh_tolerance = np.random.default_rng(transform).permutation(12) + 1, 0.0
+        assert list(perm) != list(range(1, 13))
+    transformed = tmp_path / "transformed.csv"
+    transformed.write_text("".join(",".join([r[0], *(r[k] for k in perm)]) + "\n" for r in rows))
 
     # half the smallest positive dH keeps the assets with dH > 0 and drops the others
     assert main(["analyze", "--data", str(data), "--threshold", "0", "--out", str(tmp_path / "all")]) == 0
     dh = [float(row["dH12"]) for row in _per_asset(tmp_path / "all").values()]
     threshold = repr(min(d for d in dh if d > 0) / 2)
-    for name, path in (("a", data), ("b", shuffled)):
+    for name, path in (("a", data), ("b", transformed)):
         rc = main(["analyze", "--data", str(path), "--threshold", threshold,
                    "--out", str(tmp_path / name)])
         assert rc == 0
     a, b = _per_asset(tmp_path / "a"), _per_asset(tmp_path / "b")
     assert 3 <= sum(row["retained"] == "1" for row in a.values()) < 12
     for asset, row in a.items():
-        for column in ("dH12", "order", "retained"):
+        for column in ("order", "retained"):
             assert b[asset][column] == row[column], (asset, column)
+        assert abs(float(b[asset]["dH12"]) - float(row["dH12"])) <= dh_tolerance, asset
     # order_conditional_mean sums each order's dH in asset order, so the trend may move in the last bits
     trend_a, trend_b = (json.loads((tmp_path / name / "trend_test.json").read_text()) for name in "ab")
     assert trend_b["n"] == trend_a["n"] >= 3
     for key in ("r", "t", "p_value"):
         assert trend_b[key] == pytest.approx(trend_a[key], rel=1e-12, abs=1e-12), key
+
+
+def test_analyze_data_files_ignore_rows_before_a_late_listing(tmp_path):
+    """Leading rows on which T2 is blank fall outside the intersection: only its drop count changes."""
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=6)
+    header, *rows = data.read_text().splitlines()
+    # dates compare as text, so 09995 to 09999 come before 10000
+    early = [f"0999{5 + t},{101 + t}.5,{99 - t}.25,,100.0,98.5,102.75" for t in range(5)]
+    late = tmp_path / "late.csv"
+    late.write_text("\n".join([header, *early, *rows]) + "\n")
+    for name, path in (("a", data), ("b", late)):
+        rc = main(["analyze", "--data", str(path), "--threshold", "0", "--out", str(tmp_path / name)])
+        assert rc == 0
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in set(files) - {"ingestion.json", "manifest.json"}:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
+    a, b = (json.loads((tmp_path / name / "ingestion.json").read_text()) for name in "ab")
+    assert b == {**a, "source": str(late), "drop_counts": {**a["drop_counts"], "T2": 5}}
 
 
 def test_analyze_notes_skipped_trend_test_once_in_manifest(tmp_path, capsys):
