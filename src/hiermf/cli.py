@@ -239,10 +239,7 @@ def _load_panel(settings: Settings, min_rows: int) -> tuple[ReturnsPanel, dict]:
         schema = CsvSchema(date_column=settings["date-column"], delimiter=settings["delimiter"])
     except ValueError as exc:  # the delimiter is the field CsvSchema checks
         raise UsageError(f"{settings.source('delimiter')}: {exc}") from exc
-    try:
-        prices, report = load_prices_csv(data, schema)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    prices, report = load_prices_csv(data, schema)
     try:
         panel = returns_panel(prices)
     except ValueError as exc:  # alignment errors do not know the file
@@ -409,10 +406,7 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
 
     panel, ingestion = _load_panel(settings, length)
     spec = WindowSpec(length=length, count=count)
-    try:
-        windows = rolling_windows(panel, spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    windows = rolling_windows(panel, spec)
     write_json_atomic(manifest.record("ingestion.json"), ingestion, indent=None)
     manifest.stage("load")
 

@@ -463,11 +463,8 @@ def _perturbation_matrix(tree: RiskTree, leaves: Sequence[str]) -> np.ndarray:
     # leaf or node -> (positions of the leaves under it, their running products)
     below = {leaf: (np.array([k]), np.ones(1)) for k, leaf in enumerate(leaves)}
     nothing = (np.empty(0, dtype=int), np.empty(0))
-    nodes, stack = [], [tree.tree.root]
-    while stack:  # pre-order, so reversed it visits children before parents
-        nodes.append(tree.tree.node(stack.pop()))
-        stack.extend(c for c in (nodes[-1].left, nodes[-1].right) if isinstance(c, int))
-    nodes.reverse()
+    # reversed pre-order visits children before parents
+    nodes = [tree.tree.node(i) for i in reversed(tree.tree._preorder)]
     p = np.array([node.p for node in nodes])
     for node, g in zip(nodes, (zeta1(p) / np.sqrt(zeta2(p))).tolist()):
         (li, lp), (ri, rp) = below.pop(node.left, nothing), below.pop(node.right, nothing)

@@ -72,6 +72,8 @@ class Dendrogram:
     root: int
     _by_id: dict = field(init=False, repr=False, compare=False)
     _parent: dict = field(init=False, repr=False, compare=False)
+    _orders: dict = field(init=False, repr=False, compare=False)
+    _preorder: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "leaves", tuple(self.leaves))
@@ -115,23 +117,28 @@ class Dendrogram:
         if self.root in parent:
             raise DendrogramFormatError(f"root {self.root} has a parent (cycle)")
 
-        # reachability from the root catches cycles and disconnected pieces
-        seen_nodes, seen_leaves = set(), set()
-        stack: list[int | str] = [self.root]
+        # Reachability from the root catches cycles and disconnected pieces. With
+        # one parent per child the walk meets no ref twice, so counts suffice.
+        # It records each leaf's order and the node ids in pre-order.
+        orders: dict[str, int] = {}
+        preorder: list[int] = []
+        stack: list[tuple[int | str, int]] = [(self.root, 0)]
         while stack:
-            ref = stack.pop()
+            ref, depth = stack.pop()
             if isinstance(ref, str):
-                seen_leaves.add(ref)
+                orders[ref] = depth
                 continue
-            seen_nodes.add(ref)
+            preorder.append(ref)
             node = by_id[ref]
-            stack.append(node.left)
-            stack.append(node.right)
-        if seen_leaves != leaf_set or len(seen_nodes) != len(nodes):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+        if len(orders) != len(leaves) or len(preorder) != len(nodes):
             raise DendrogramFormatError("tree is not connected (cycle or orphan nodes)")
 
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_orders", orders)
+        object.__setattr__(self, "_preorder", tuple(preorder))
 
     @property
     def n_leaves(self) -> int:
@@ -177,7 +184,7 @@ class LeafPath:
 
 def leaf_path(tree: Dendrogram, leaf: str) -> LeafPath:
     """The unique ancestor chain of a leaf (its parent first, the root last)."""
-    if leaf not in tree._parent and leaf not in tree.leaves:
+    if leaf not in tree._orders:
         raise ValueError(f"unknown leaf {leaf!r}")
     ids: list[int] = []
     ref: int | str = leaf
@@ -195,18 +202,8 @@ def hierarchical_order(tree: Dendrogram, leaf: str) -> int:
 
 
 def order_profile(tree: Dendrogram) -> dict[str, int]:
-    """Hierarchical order of every leaf in one traversal."""
-    orders: dict[str, int] = {}
-    stack: list[tuple[int | str, int]] = [(tree.root, 1)]
-    while stack:
-        ref, depth = stack.pop()
-        if isinstance(ref, str):
-            orders[ref] = depth - 1
-            continue
-        node = tree.node(ref)
-        stack.append((node.left, depth + 1))
-        stack.append((node.right, depth + 1))
-    return orders
+    """Hierarchical order of every leaf, as the tree's validating walk recorded it."""
+    return dict(tree._orders)
 
 
 def linkage_cluster(
@@ -308,20 +305,6 @@ class ClusterCut:
     count: int
 
 
-def _collect_leaves(tree: Dendrogram, ref: int | str) -> tuple[str, ...]:
-    out: list[str] = []
-    stack = [ref]
-    while stack:
-        r = stack.pop()
-        if isinstance(r, str):
-            out.append(r)
-        else:
-            node = tree.node(r)
-            stack.append(node.left)
-            stack.append(node.right)
-    return tuple(sorted(out))
-
-
 def cluster_cut(tree: Dendrogram, k: int | None = None) -> ClusterCut:
     """Cut into k clusters, or at the largest gap between merge heights.
 
@@ -346,15 +329,24 @@ def cluster_cut(tree: Dendrogram, k: int | None = None) -> ClusterCut:
             raise ValueError(f"k must be in [1, {tree.n_leaves}], got {k}")
 
     removed = {node.id for node in ordered[m - (k - 1) :]} if k > 1 else set()
-    roots: list[int | str] = []
-    if tree.root not in removed:
-        roots.append(tree.root)
+    # A cluster starts at the root, if kept, and at each kept child of an
+    # undone merge. One walk from the root meets each cluster's leaves in a row.
+    starts = {tree.root} - removed
     for node_id in removed:
         node = tree.node(node_id)
-        for child in (node.left, node.right):
-            if isinstance(child, str) or child not in removed:
-                roots.append(child)
-    clusters = tuple(sorted(_collect_leaves(tree, r) for r in roots))
+        starts.update(c for c in (node.left, node.right) if c not in removed)
+    by_id, found, stack = tree._by_id, [], [tree.root]
+    while stack:
+        ref = stack.pop()
+        if ref in starts:
+            found.append([])
+        node = by_id.get(ref)
+        if node is None:
+            found[-1].append(ref)
+        else:
+            stack.append(node.left)
+            stack.append(node.right)
+    clusters = tuple(sorted(tuple(sorted(c)) for c in found))
     if len(clusters) != k:
         raise ValueError(
             "cut does not split cleanly; merge heights are not monotone along the tree"

@@ -193,7 +193,8 @@ def load_prices_csv(
     A missing, non-finite or non-positive price is NaN in the panel and
     counts as a dropped row of that ticker only; the per-ticker drop counts
     are returned in the LoadReport. Each ticker needs at least 2 valid rows.
-    Dates must be strictly increasing over the whole file.
+    Dates must be strictly increasing over the whole file, compared as text:
+    ISO dates sort correctly, and integer day numbers must be zero-padded.
 
     A cell is read with `float()` after stripping whitespace; a cell it
     rejects counts as missing. Blank lines are skipped and a short row reads

@@ -13,8 +13,9 @@ import pytest
 from hiermf import cli, dependence, validation
 from hiermf.cli import main
 from hiermf.dhm import RiskTree, simulate_returns, DhmSpec, Regime, LogVolSpec
-from hiermf.dependence import CorrelationMatrix
+from hiermf.dependence import CorrelationMatrix, read_correlation_csv
 from hiermf.hierarchy import comb_tree, random_binary_tree, serialize_dendrogram
+from hiermf.market_data import WindowSpec
 from hiermf.scaling import delta_h, estimate_ghe
 from hiermf.validation import check_equivalence
 
@@ -632,6 +633,15 @@ def test_analyze_notes_skipped_trend_test_once_in_manifest(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_analyze_names_the_file_without_the_date_column(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=3)
+    data.write_text(data.read_text().replace("date,", "day,", 1))
+    rc = main(["analyze", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {data}: missing date column 'date'\n"
+
+
 def test_analyze_missing_data_flag(tmp_path):
     assert main(["analyze", "--out", str(tmp_path)]) == 1
 
@@ -725,6 +735,39 @@ def test_rolling_report(tmp_path):
     assert "largest-gap" in meta["cluster_criterion"]
 
 
+def test_rolling_windows_match_analyze_on_their_slices(tmp_path):
+    """Window k is analyze's panel over price rows starts[k] to starts[k] + length.
+
+    The window's returns are the slice's returns, so orders and correlations
+    agree; the Hurst fit cumulates log-prices from a different anchor, so dH
+    may move by rounding.
+    """
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=8, length=700, seed=4)
+    length, count = 250, 5
+    assert main(["rolling", "--data", str(data), "--window-length", str(length),
+                 "--window-count", str(count), "--out", str(tmp_path / "rolling")]) == 0
+    with open(tmp_path / "rolling" / "rolling.csv", newline="") as fh:
+        windows = list(csv.DictReader(fh))
+    header, *rows = data.read_text().splitlines()
+    starts = WindowSpec(length, count).starts(len(rows) - 1)
+    assert len(windows) == len(starts) == count
+    assert starts[0] == 0 and starts[-1] + length == len(rows) - 1
+    for window, start in zip(windows, starts):
+        piece, out = tmp_path / f"slice{start}.csv", tmp_path / f"analyze{start}"
+        piece.write_text("\n".join([header, *rows[start : start + length + 1]]) + "\n")
+        assert main(["analyze", "--data", str(piece), "--threshold", "0", "--theta", "250",
+                     "--out", str(out)]) == 0
+        per_asset = _per_asset(out).values()
+        corr = read_correlation_csv(out / "correlation.csv")
+        # the window's first return is dated at the slice's second price row
+        dates = [row.split(",")[0] for row in rows[start + 1 : start + length + 1]]
+        assert (window["start"], window["end"]) == (dates[0], dates[-1])
+        assert float(window["mean_order"]) == np.mean([int(row["order"]) for row in per_asset])
+        assert abs(float(window["mean_dH"]) - np.mean([float(row["dH12"]) for row in per_asset])) <= 1e-12
+        assert abs(float(window["rho_mean"]) - corr.offdiagonal().mean()) <= 1e-12
+
+
 def test_rolling_stationary_panel_is_flat(tmp_path):
     data = tmp_path / "prices.csv"
     write_price_csv(data, n_assets=6, length=1200, seed=5)
@@ -756,7 +799,7 @@ def test_rolling_warning_raised_per_window_is_listed_once(tmp_path, monkeypatch)
     assert json.loads((out / "manifest.json").read_text())["warnings"] == ["probe warning"]
 
 
-def test_rolling_infeasible_windows(tmp_path):
+def test_rolling_infeasible_windows(tmp_path, capsys):
     data = tmp_path / "prices.csv"
     write_price_csv(data, length=300)
     rc = main([
@@ -764,6 +807,7 @@ def test_rolling_infeasible_windows(tmp_path):
         "--window-count", "50", "--out", str(tmp_path / "o"),
     ])
     assert rc == 1
+    assert capsys.readouterr().err == "error: 50 windows of length 299 do not fit in 299 rows\n"
 
 
 def test_rolling_rejects_short_window_before_any_window(tmp_path, capsys):

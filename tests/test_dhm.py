@@ -31,7 +31,9 @@ from hiermf.dhm import (
     zeta1,
     zeta2,
 )
-from hiermf.hierarchy import Dendrogram, comb_tree, leaf_path, order_profile, random_binary_tree, serialize_dendrogram
+from hiermf.hierarchy import (
+    Dendrogram, comb_tree, leaf_path, order_profile, parse_dendrogram, random_binary_tree, serialize_dendrogram,
+)
 from hiermf.scaling import _circulant_sample
 from hiermf.util import derived_rng
 
@@ -98,7 +100,7 @@ def reference_perturbation_matrix(tree, leaves):
     return f
 
 
-def test_zeta_and_perturbation_are_bitwise_equal_to_the_old_formulas():
+def test_zeta_and_perturbation_are_bitwise_equal_to_the_old_formulas(tmp_path):
     rng = np.random.default_rng(23)
     p = np.concatenate(([0.0, 1.0, 0.5], rng.random(1000)))
     for new, e_minus_one in ((zeta1, dhm.E1), (zeta2, dhm.E2)):
@@ -111,6 +113,15 @@ def test_zeta_and_perturbation_are_bitwise_equal_to_the_old_formulas():
         assert np.array_equal(
             dhm._perturbation_matrix(tree, leaves), reference_perturbation_matrix(tree, leaves)
         )
+    # the last tree again, read from JSON that lists its nodes root-first instead of in merge order
+    serialize_dendrogram(tree.tree, tmp_path / "tree.json")
+    payload = json.loads((tmp_path / "tree.json").read_text())
+    (tmp_path / "tree.json").write_text(json.dumps({**payload, "nodes": payload["nodes"][::-1]}))
+    root_first = RiskTree(parse_dendrogram(tmp_path / "tree.json"))
+    assert root_first.tree.nodes[0].id == root_first.tree.root
+    assert np.array_equal(
+        dhm._perturbation_matrix(root_first, leaves), reference_perturbation_matrix(root_first, leaves)
+    )
 
 
 # --- log-correlated volatility ---

@@ -333,6 +333,15 @@ def test_order_profile_matches_per_leaf_calls(example_tree):
         assert profile[leaf] == hierarchical_order(example_tree, leaf)
 
 
+def test_order_profile_returns_a_copy(example_tree):
+    profile = order_profile(example_tree)
+    profile["i"] = 99
+    del profile["s03"]
+    assert order_profile(example_tree)["i"] == 6
+    assert order_profile(example_tree)["s03"] == 2
+    assert hierarchical_order(example_tree, "i") == 6
+
+
 def test_order_bounds_random_trees():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -373,6 +382,17 @@ def test_cut_k_out_of_range(example_tree):
         cluster_cut(example_tree, k=0)
     with pytest.raises(ValueError):
         cluster_cut(example_tree, k=example_tree.n_leaves + 1)
+
+
+def test_cut_of_a_non_monotone_tree_is_rejected():
+    # the highest merge (node 4) sits below the root, so undoing it leaves the root whole
+    tree = Dendrogram(
+        leaves=("a", "b", "c", "d"),
+        nodes=(TreeNode(4, "a", "b", 3.0), TreeNode(5, 4, "c", 1.0), TreeNode(6, 5, "d", 2.0)),
+        root=6,
+    )
+    with pytest.raises(ValueError, match="cut does not split cleanly"):
+        cluster_cut(tree, k=2)
 
 
 def test_cut_consistency_with_union_find():
@@ -659,6 +679,16 @@ def test_parse_rejects_bad_probability(tmp_path):
     f.write_text(json.dumps(payload))
     with pytest.raises(DendrogramFormatError, match="probability"):
         parse_dendrogram(f)
+
+
+def test_dendrogram_rejects_a_cycle_away_from_the_root():
+    # nodes 5 and 6 are each other's child: every node has one parent, but the root reaches neither
+    with pytest.raises(DendrogramFormatError, match="tree is not connected"):
+        Dendrogram(
+            leaves=("a", "b", "c", "d"),
+            nodes=(TreeNode(4, "a", "b", 1.0), TreeNode(5, 6, "c", 1.0), TreeNode(6, 5, "d", 1.0)),
+            root=4,
+        )
 
 
 def test_dendrogram_requires_n_minus_one_nodes():

@@ -497,14 +497,16 @@ def last_row_error(last, message):
         ("date,A\n2020-01-01,1\n\n\n2020-01-03,2\n2020-01-02,3\n",
          ":6: dates not strictly increasing ('2020-01-02' after '2020-01-03')"),
         ("date,A\n\n2020-01-01,1\n\n,2\n", ":5: empty date"),
+        # dates compare as text, so integer dates must be zero-padded
+        ("date,A\n9999,1\n10000,2\n", ":3: dates not strictly increasing ('10000' after '9999')"),
         ('date,A\n2020-01-02,"1\n"\n2020-01-01,2\n', ":4: dates not strictly increasing"),
         # blank lines and a two-line cell at each block edge before the bad row
         last_row_error("10000,1,2,3",
                        f"dates not strictly increasing ('10000' after '{10000 + 2 * BLOCK - 1}')"),
         last_row_error(",1,2,3", "empty date"),
     ],
-    ids=["blank_lines", "blank_lines_then_empty_date", "multiline_quoted_cell",
-         "last_block_out_of_order", "last_block_empty_date"],
+    ids=["blank_lines", "blank_lines_then_empty_date", "integer_dates_compare_as_text",
+         "multiline_quoted_cell", "last_block_out_of_order", "last_block_empty_date"],
 )
 def test_date_errors_name_the_physical_line(tmp_path, text, message):
     f = tmp_path / "p.csv"
