@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
-import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from hiermf import __version__
 from hiermf import dhm as dhm_mod
 from hiermf.dependence import (
     corr_to_distance,
@@ -40,6 +37,7 @@ from hiermf.hierarchy import (
     serialize_dendrogram,
 )
 from hiermf.market_data import CsvSchema, ReturnsPanel, WindowSpec, load_prices_csv, returns_panel, rolling_windows
+from hiermf.run import Manifest, _messages
 from hiermf.scaling import (
     MIN_SERIES_LENGTH,
     DegenerateMomentError,
@@ -51,8 +49,8 @@ from hiermf.util import (
     checked_int,
     checked_number,
     checked_type,
-    decoded_lines,
     format_float,
+    input_lines,
     parallel_map,
     write_csv,
     write_json_atomic,
@@ -60,63 +58,20 @@ from hiermf.util import (
 from hiermf.validation import check_equivalence, check_median_shift, check_tau_dispersion
 
 
-class UsageError(Exception):
-    """Bad flags, config, or input data; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
-
-
-class Manifest:
-    """Collects the stage timings and outputs of a run; written atomically last."""
-
-    def __init__(self, out_dir: Path, command: str):
-        self.out_dir = out_dir
-        self.command = command
-        self.stages: dict[str, float] = {}
-        self.outputs: list[str] = []
-        self._t0 = time.perf_counter()
-        self._stage_start = self._t0
-
-    def stage(self, name: str):
-        now = time.perf_counter()
-        self.stages[name] = round(now - self._stage_start, 6)
-        self._stage_start = now
-
-    def record(self, name: str | Path) -> Path:
-        """Path of output `name`, given relative to the run directory, listed as an output."""
-        self.outputs.append(str(name))
-        return self.out_dir / name
-
-    def write(self, config: dict, warning_messages: list[str]):
-        digest = hashlib.sha256(
-            json.dumps(config, sort_keys=True, default=str).encode()
-        ).hexdigest()
-        payload = {
-            "version": __version__,
-            "command": self.command,
-            "config": config,
-            "config_sha256": digest,
-            "wall_clock_seconds": round(time.perf_counter() - self._t0, 6),
-            "stage_seconds": self.stages,
-            "warnings": warning_messages,
-            "outputs": sorted(self.outputs),
-        }
-        write_json_atomic(self.out_dir / "manifest.json", payload)
+        raise ValueError(message)
 
 
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path) as fh:
-            config = json.loads("".join(decoded_lines(fh, path)))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        config = json.loads("".join(input_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
-        raise UsageError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     return config
 
 
@@ -179,11 +134,11 @@ def _checked(value, kind, minimum, source: str):
     if kind is float:
         number = checked_number(value, source)
         if minimum is not None and number <= minimum:
-            raise UsageError(f"{source} must be > {minimum}, got {number!r}")
+            raise ValueError(f"{source} must be > {minimum}, got {number!r}")
         return number
     checked_type(value, str, source, "a string")
     if isinstance(kind, tuple) and value not in kind:
-        raise UsageError(f"{source} must be one of {kind}, got {value!r}")
+        raise ValueError(f"{source} must be one of {kind}, got {value!r}")
     return value
 
 
@@ -234,23 +189,23 @@ def _load_panel(settings: Settings, min_rows: int) -> tuple[ReturnsPanel, dict]:
     """Aligned scale-1 panel and its ingestion sidecar; fewer than `min_rows` returns is an error."""
     data = settings["data"]
     if not data:
-        raise UsageError("no input panel; pass --data or set 'data' in the config")
+        raise ValueError("no input panel; pass --data or set 'data' in the config")
     try:
         schema = CsvSchema(date_column=settings["date-column"], delimiter=settings["delimiter"])
     except ValueError as exc:  # the delimiter is the field CsvSchema checks
-        raise UsageError(f"{settings.source('delimiter')}: {exc}") from exc
+        raise ValueError(f"{settings.source('delimiter')}: {exc}") from exc
     prices, report = load_prices_csv(data, schema)
     try:
         panel = returns_panel(prices)
     except ValueError as exc:  # alignment errors do not know the file
-        raise UsageError(f"{data}: {exc}") from exc
+        raise ValueError(f"{data}: {exc}") from exc
     if panel.n_times < min_rows:
         message = f"{data}: {panel.n_times} aligned returns, need at least {min_rows}"
         worst = max(report.drop_counts, key=report.drop_counts.get)
         dropped = report.drop_counts[worst]
         if dropped:
             message += f"; ticker {worst!r} dropped {dropped} of {len(prices.dates)}"
-        raise UsageError(message)
+        raise ValueError(message)
     sidecar = report.to_sidecar()
     sidecar["aligned_rows"] = panel.n_times
     return panel, sidecar
@@ -259,13 +214,13 @@ def _load_panel(settings: Settings, min_rows: int) -> tuple[ReturnsPanel, dict]:
 def _unfittable(
     exc: DegenerateMomentError, data: str, panel: ReturnsPanel,
     windows: list[ReturnsPanel] | None = None,
-) -> UsageError:
+) -> ValueError:
     """The scaling error restated with the price file, the ticker and the window's dates."""
     where = f"{data}: ticker {panel.assets[exc.column]!r}"
     if exc.window is not None:
         times = windows[exc.window].times
         where += f" in window {exc.window} ({times[0]} to {times[-1]})"
-    return UsageError(
+    return ValueError(
         f"{where} has no price change at lag {exc.scale}, so M(q={exc.q}, l={exc.scale}) = 0 "
         "and its Hurst exponents cannot be fitted"
     )
@@ -281,14 +236,15 @@ def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
     try:
         corr = weighted_pearson_matrix(panel, scheme)
     except ValueError as exc:  # a zero-variance error names the ticker but not the file
-        raise UsageError(f"{data}: {exc}") from exc
+        raise ValueError(f"{data}: {exc}") from exc
     if tree_file:
-        try:
-            tree = parse_dendrogram(tree_file)
-        except OSError as exc:
-            raise UsageError(f"cannot read tree {tree_file}: {exc.strerror}") from exc
+        tree = parse_dendrogram(tree_file)
         if set(tree.leaves) != set(panel.assets):
-            raise UsageError("imported tree leaves do not match panel assets")
+            leaf = next((x for x in tree.leaves if x not in panel.assets), None)
+            if leaf is not None:
+                raise ValueError(f"{tree_file}: leaf {leaf!r} is not a ticker of {data}")
+            ticker = next(a for a in panel.assets if a not in tree.leaves)
+            raise ValueError(f"{tree_file}: ticker {ticker!r} of {data} is not a leaf")
     else:
         tree = linkage_cluster(corr_to_distance(corr), panel.assets, settings["method"])
     orders = order_profile(tree)
@@ -301,7 +257,7 @@ def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
     dh = {a: delta_h(est) for a, est in ghe.items()}
     retained = [a for a in panel.assets if threshold <= 0 or dh[a] > threshold]
     if len(retained) < 3:
-        raise UsageError(
+        raise ValueError(
             f"fewer than 3 assets survive the multiscaling threshold {threshold}"
         )
     manifest.stage("ghe")
@@ -370,10 +326,10 @@ def _simulate_one(item: tuple[int, dhm_mod.DhmSpec], out_dir: str) -> str:
 
 def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
     if not settings.args.config:
-        raise UsageError("simulate requires --config pointing at a model spec")
+        raise ValueError("simulate requires --config pointing at a model spec")
     base_seed = settings["seed"]
     if base_seed is None:
-        raise UsageError("simulate needs a seed (flag --seed or config key 'seed')")
+        raise ValueError("simulate needs a seed (flag --seed or config key 'seed')")
 
     base_dir = Path(settings.args.config).resolve().parent
     # every run's spec is built here, so errors surface before any run
@@ -382,8 +338,8 @@ def cmd_simulate(settings: Settings, manifest: Manifest) -> int:
             dhm_mod.load_dhm_config_dict(settings.config, base_dir, seed_override=base_seed + r)
             for r in range(settings["repeat"])
         ]
-    except (ValueError, OSError) as exc:
-        raise UsageError(f"bad model spec: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad model spec: {exc}") from exc
     manifest.stage("validate")
 
     worker = functools.partial(_simulate_one, out_dir=str(manifest.out_dir))
@@ -399,7 +355,7 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
     length, count, theta = settings["window-length"], settings["window-count"], settings["theta"]
     # a window of `length` returns gives length + 1 log-prices to estimate_ghe
     if length + 1 < MIN_SERIES_LENGTH:
-        raise UsageError(
+        raise ValueError(
             f"{settings.source('window-length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
         )
@@ -452,7 +408,7 @@ def cmd_validate_model(settings: Settings, manifest: Manifest) -> int:
     n_seeds, min_ratio = settings["dispersion-seeds"], settings["min-dispersion-ratio"]
     if tolerance >= 2:  # no correlation deviation exceeds 2, so no check could fail
         name = "tolerance" if settings.given("tolerance") else "steps"
-        raise UsageError(
+        raise ValueError(
             f"{settings.source(name)} gives a tolerance of {tolerance:g}; it must be below 2 "
             "(the default tolerance is, from 101 steps on)"
         )
@@ -480,14 +436,14 @@ def cmd_calibrate(settings: Settings, manifest: Manifest) -> int:
     lo, hi = settings["hurst-min"], settings["hurst-max"]
     for name, value in (("hurst-min", lo), ("hurst-max", hi)):
         if not 0 < value < 1:  # a default is inside, so the bad end was set
-            raise UsageError(f"{settings.source(name)} must be inside (0, 1), got {value!r}")
+            raise ValueError(f"{settings.source(name)} must be inside (0, 1), got {value!r}")
     if lo > hi:
         ends = [f"{settings.source(name)} {settings[name]!r}" if settings.given(name)
                 else f"the default {name} {settings[name]!r}" for name in ("hurst-min", "hurst-max")]
-        raise UsageError(f"the Hurst range is inverted: {ends[0]} is above {ends[1]}")
+        raise ValueError(f"the Hurst range is inverted: {ends[0]} is above {ends[1]}")
     length = settings["length"]
     if length < MIN_SERIES_LENGTH:
-        raise UsageError(
+        raise ValueError(
             f"{settings.source('length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH}"
         )
@@ -531,11 +487,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _messages(caught: list[warnings.WarningMessage]) -> list[str]:
-    """Each distinct warning message once, in first-seen order."""
-    return list(dict.fromkeys(str(w.message) for w in caught))
-
-
 def main(argv=None) -> int:
     """Run one command; its warnings go to the manifest, or to stderr if it fails."""
     with warnings.catch_warnings(record=True) as caught:
@@ -544,10 +495,13 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             settings = Settings(args, _load_config_file(args.config))
             out = Path(args.out or "hiermf-out")
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
             manifest = Manifest(out, args.command)
             status = _COMMANDS[args.command][0](settings, manifest)
-        except (UsageError, ValueError) as exc:
+        except ValueError as exc:
             for message in _messages(caught):
                 print(f"warning: {message}", file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)

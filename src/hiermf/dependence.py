@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import decoded_lines, write_csv
+from hiermf.util import input_lines, write_csv
 
 __all__ = [
     "WeightScheme",
@@ -193,8 +193,7 @@ def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]
     Blank lines are skipped. A row with the wrong number of cells, or a cell
     that is not a number, is an error naming the file and the row label.
     """
-    with open(path, newline="") as fh:
-        rows = list(filter(None, csv.reader(decoded_lines(fh, path))))
+    rows = list(filter(None, csv.reader(input_lines(path))))
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: not a labeled correlation CSV")
     assets = tuple(rows[0][1:])

@@ -24,7 +24,7 @@ from hiermf.dependence import CorrelationMatrix, _read_labeled_matrix
 from hiermf.hierarchy import Dendrogram, leaf_path, parse_dendrogram
 from hiermf.market_data import ReturnsPanel
 from hiermf.scaling import _circulant_sample, _embedding_eigenvalues
-from hiermf.util import checked_int, checked_number, checked_type, decoded_lines, derived_rng
+from hiermf.util import checked_int, checked_number, checked_type, derived_rng, input_lines
 
 __all__ = [
     "RiskTree",
@@ -615,8 +615,7 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
 def load_dhm_config(path) -> DhmSpec:
     """Read a model spec JSON file; relative paths resolve against its directory."""
     path = Path(path)
-    with open(path) as fh:
-        config = json.loads("".join(decoded_lines(fh, path)))
+    config = json.loads("".join(input_lines(path)))
     return load_dhm_config_dict(config, path.parent)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from hiermf.dependence import WeightScheme, corr_to_distance, weighted_pearson_matrix
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import decoded_lines, derived_rng, write_json_atomic
+from hiermf.util import derived_rng, input_lines, write_json_atomic
 
 __all__ = [
     "TreeNode",
@@ -470,8 +470,7 @@ def serialize_dendrogram(tree: Dendrogram, path: str | Path) -> None:
 
 def parse_dendrogram(path: str | Path) -> Dendrogram:
     """Read the JSON interchange form, rejecting malformed trees with a location."""
-    with open(path) as fh:
-        text = "".join(decoded_lines(fh, path))
+    text = "".join(input_lines(path))
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

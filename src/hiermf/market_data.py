@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from hiermf.util import decoded_lines
+from hiermf.util import input_lines
 
 # rows parsed at a time: a load holds the price array plus one block's cell strings
 LOAD_BLOCK_ROWS = 256
@@ -208,41 +208,36 @@ def load_prices_csv(
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(decoded_lines(fh, path), delimiter=schema.delimiter)
-        header = next(reader, None)
-        if header is None or schema.date_column not in header:
-            raise ValueError(f"{path}: missing date column {schema.date_column!r}")
-        tickers = list(schema.price_columns or [c for c in header if c != schema.date_column])
-        for t in tickers:
-            if t not in header:
-                raise ValueError(f"{path}: missing price column {t!r}")
-        if not tickers:
-            raise ValueError(f"{path}: no price columns")
-        if len(set(tickers)) < len(tickers):
-            dup = next(t for k, t in enumerate(tickers) if t in tickers[:k])
-            raise ValueError(f"{path}: duplicate price column {dup!r}")
-        # the last column of a repeated name wins
-        position = {name: j for j, name in enumerate(header)}
-        picked = [position[schema.date_column], *(position[t] for t in tickers)]
-        pick, width = operator.itemgetter(*picked), 1 + max(picked)
-        # parse every LOAD_BLOCK_ROWS kept rows, so only one block's cell strings are alive
-        rows, lines, dates, blocks = [], [], [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                # the physical line each kept row ends on, for error messages
-                lines.append(reader.line_num)
-                if len(rows) == LOAD_BLOCK_ROWS:
-                    blocks.append(_parse_block(rows, width, pick, dates))
-                    rows = []
-        if rows:
-            blocks.append(_parse_block(rows, width, pick, dates))
-            del rows
+    reader = csv.reader(input_lines(path), delimiter=schema.delimiter)
+    header = next(reader, None)
+    if header is None or schema.date_column not in header:
+        raise ValueError(f"{path}: missing date column {schema.date_column!r}")
+    tickers = list(schema.price_columns or [c for c in header if c != schema.date_column])
+    for t in tickers:
+        if t not in header:
+            raise ValueError(f"{path}: missing price column {t!r}")
+    if not tickers:
+        raise ValueError(f"{path}: no price columns")
+    if len(set(tickers)) < len(tickers):
+        dup = next(t for k, t in enumerate(tickers) if t in tickers[:k])
+        raise ValueError(f"{path}: duplicate price column {dup!r}")
+    # the last column of a repeated name wins
+    position = {name: j for j, name in enumerate(header)}
+    picked = [position[schema.date_column], *(position[t] for t in tickers)]
+    pick, width = operator.itemgetter(*picked), 1 + max(picked)
+    # parse every LOAD_BLOCK_ROWS kept rows, so only one block's cell strings are alive
+    rows, lines, dates, blocks = [], [], [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            # the physical line each kept row ends on, for error messages
+            lines.append(reader.line_num)
+            if len(rows) == LOAD_BLOCK_ROWS:
+                blocks.append(_parse_block(rows, width, pick, dates))
+                rows = []
+    if rows:
+        blocks.append(_parse_block(rows, width, pick, dates))
+        del rows
     if not blocks:
         raise ValueError(f"{path}: no data rows")
 

@@ -272,7 +272,8 @@ def _embedding_eigenvalues(cov: np.ndarray, clip_negative: bool) -> tuple[np.nda
         )
     negative = eig < 0
     total_mass = float(np.abs(eig).sum())
-    clipped = float(-eig[negative].sum()) / total_mass if total_mass > 0 else 0.0
+    # negate before summing: an empty sum is 0.0, where -(0.0) would write -0.0
+    clipped = float((-eig[negative]).sum()) / total_mass if total_mass > 0 else 0.0
     if negative.any():
         eig = np.where(negative, 0.0, eig)
         eig *= first_row[0] * (2 * n) / eig.sum()

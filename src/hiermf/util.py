@@ -1,5 +1,5 @@
 """Shared plumbing: derived random streams, optional process parallelism, checked
-config numbers, atomic writes."""
+config numbers, the one input reader, atomic writes."""
 
 from __future__ import annotations
 
@@ -54,12 +54,21 @@ def write_json_atomic(path: str | os.PathLike, payload: Any, indent: int | None 
         raise
 
 
-def decoded_lines(fh, path: str | os.PathLike) -> Iterator[str]:
-    """Lines of the open text file `fh`; a decoding error names the file `path`."""
+def input_lines(path: str | os.PathLike) -> Iterator[str]:
+    """Lines of the UTF-8 file `path`, a leading byte-order mark dropped, line ends kept.
+
+    Every input file is read here. A file that cannot be opened or decoded
+    is a ValueError naming `path`.
+    """
     try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not utf-8 text ({exc.reason})") from exc
 
 
 def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
@@ -114,7 +123,7 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
     A cell holding a comma, a quote or a line break is quoted, as csv's
     minimal quoting does, so csv.reader reads every row back whole.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for row in itertools.chain([header], rows):
             if _NUMBER_TYPES.issuperset(map(type, row)):
                 cells = map(repr, row)  # repr of a Python int or float is already its cell

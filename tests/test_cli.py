@@ -1,8 +1,11 @@
+import codecs
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import warnings
 from pathlib import Path
@@ -358,6 +361,100 @@ def test_non_utf8_inputs_name_the_file(tmp_path, capsys):
         assert err == f"error: bad model spec: {tmp_path.resolve() / name}: {reason}\n"
 
 
+def _missing_input_run(tmp_path, case):
+    """argv of a run whose input `case` names a file that does not exist, and that file."""
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    missing = tmp_path / "nope"
+    out = ["--out", str(tmp_path / "o")]
+    if case == "prices":
+        return ["analyze", "--data", str(missing), *out], missing
+    if case == "config":
+        return ["calibrate", "--config", str(missing), *out], missing
+    if case == "tree":
+        return ["analyze", "--data", str(data), "--tree", str(missing), *out], missing
+    path = write_model_config(tmp_path)
+    spec = json.loads(path.read_text())
+    if case == "regime-tree":
+        spec["regimes"][0]["tree"] = "nope"
+    else:
+        spec["noise"] = {"file": "nope"}
+    path.write_text(json.dumps(spec))
+    return ["simulate", "--config", str(path), *out], tmp_path.resolve() / "nope"
+
+
+@pytest.mark.parametrize("case", ["prices", "config", "tree", "regime-tree", "noise"])
+def test_a_missing_input_file_is_named(tmp_path, capsys, case):
+    argv, missing = _missing_input_run(tmp_path, case)
+    assert main(argv) == 1
+    prefix = "bad model spec: " if argv[0] == "simulate" else ""
+    reason = os.strerror(errno.ENOENT)
+    assert capsys.readouterr().err == f"error: {prefix}cannot read {missing}: {reason}\n"
+
+
+def _with_bom(path):
+    """A copy of `path` that starts with a UTF-8 byte-order mark."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+def test_a_price_file_with_a_byte_order_mark_reads_like_the_plain_file(tmp_path, monkeypatch):
+    outputs = []
+    for name in ("plain", "bom"):
+        run = tmp_path / name
+        run.mkdir()
+        data = run / "prices.csv"
+        write_price_csv(data, n_assets=5)
+        if name == "bom":
+            data.write_bytes(codecs.BOM_UTF8 + data.read_bytes())
+        monkeypatch.chdir(run)  # the same relative --data, so ingestion.json may compare too
+        assert main(["analyze", "--data", "prices.csv", "--threshold", "0", "--out", "out"]) == 0
+        outputs.append({f.name: f.read_bytes() for f in (run / "out").iterdir()
+                        if f.name != "manifest.json"})
+    assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
+
+
+def test_a_config_with_a_byte_order_mark_reads_like_the_plain_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"count": 10, "length": 200, "seed": 4}))
+    for path, out in ((config, "plain"), (_with_bom(config), "bom")):
+        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    manifests = [json.loads((tmp_path / out / "manifest.json").read_text()) for out in ("plain", "bom")]
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[0]["config"]["count"] == 10
+    assert (tmp_path / "plain/threshold.json").read_bytes() == (tmp_path / "bom/threshold.json").read_bytes()
+
+
+def test_a_tree_with_a_byte_order_mark_reads_like_the_plain_file(tmp_path):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    tree = tmp_path / "tree.json"
+    serialize_dendrogram(comb_tree(5, [f"T{j}" for j in range(5)]), tree)
+    for path, out in ((tree, "plain"), (_with_bom(tree), "bom")):
+        argv = ["analyze", "--data", str(data), "--threshold", "0", "--tree", str(path)]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+    for name in ("per_asset.csv", "tree.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "bom" / name).read_bytes()
+
+
+def test_a_noise_file_with_a_byte_order_mark_reads_like_the_plain_file(tmp_path):
+    labels = ["A00", "A01", "A02"]
+    lines = ["," + ",".join(labels)]
+    for i, label in enumerate(labels):
+        lines.append(label + "," + ",".join("1.0" if j == i else "0.3" for j in range(3)))
+    noise = tmp_path / "noise.csv"
+    noise.write_text("\n".join(lines) + "\n")
+    config = write_model_config(tmp_path, n_leaves=3)
+    spec = json.loads(config.read_text())
+    for path, out in ((noise, "plain"), (_with_bom(noise), "bom")):
+        spec["noise"] = {"file": path.name}
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    returns = [(tmp_path / out / "run_0000" / "returns.csv").read_bytes() for out in ("plain", "bom")]
+    assert returns[0] == returns[1]
+
+
 # --- analyze ---
 
 
@@ -438,6 +535,22 @@ def test_analyze_imported_tree_leaf_mismatch(tmp_path):
         "--tree", str(tmp_path / "tree.json"), "--out", str(tmp_path / "o"),
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "leaves, named",
+    [(["T0", "T1", "T2", "T3", "X"], "leaf 'X' is not a ticker of {data}"),
+     (["T0", "T1", "T2", "T3"], "ticker 'T4' of {data} is not a leaf")],
+    ids=["extra-leaf", "missing-ticker"],
+)
+def test_analyze_imported_tree_names_a_label_on_the_side_that_differs(tmp_path, capsys, leaves, named):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=5)
+    tree = tmp_path / "tree.json"
+    serialize_dendrogram(comb_tree(len(leaves), leaves), tree)
+    rc = main(["analyze", "--data", str(data), "--tree", str(tree), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {tree}: {named.format(data=data)}\n"
 
 
 def test_analyze_missing_tree_file(tmp_path, capsys):
@@ -1106,6 +1219,17 @@ def test_warnings_of_a_failed_run_print_once_before_the_error(tmp_path, capsys, 
     assert main(["calibrate", "--count", "10", "--length", "400", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "warning: first\nwarning: second\nerror: no threshold\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("case", ["under-a-file", "a-file"])
+def test_an_out_that_cannot_be_created_is_named(tmp_path, capsys, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out, code = (blocker / "x", errno.ENOTDIR) if case == "under-a-file" else (blocker, errno.EEXIST)
+    assert main(["calibrate", "--count", "10", "--length", "200", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot create output directory {out}: {os.strerror(code)}\n"
+    )
 
 
 # --- argument handling ---

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hiermf import market_data
+from hiermf import market_data, util
 from hiermf.market_data import (
     CsvSchema,
     PricePanel,
@@ -529,7 +529,7 @@ def test_date_error_reads_the_file_once_and_keeps_its_line(tmp_path, monkeypatch
         f.write_text("date,A\n")
         return io.StringIO(text)
 
-    monkeypatch.setattr(market_data, "open", open_and_rewrite, raising=False)
+    monkeypatch.setattr(util, "open", open_and_rewrite, raising=False)
     with pytest.raises(ValueError) as info:
         load_prices_csv(f)
     assert str(info.value) == (

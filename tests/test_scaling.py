@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hiermf.market_data import ReturnsPanel, WindowSpec, rolling_windows
 from hiermf.scaling import (
     FbmSpec,
     _circulant_sample,
+    _embedding_eigenvalues,
     _moment_table,
     calibrate_threshold,
     delta_h,
@@ -336,6 +338,13 @@ def test_fbm_starts_at_zero_and_has_requested_length():
     path = generate_fbm(FbmSpec(hurst=0.3, length=1000, seed=0))
     assert path.shape == (1000,)
     assert path[0] == 0.0
+
+
+def test_an_embedding_that_clips_nothing_reports_a_positive_zero_mass():
+    eig, mass = _embedding_eigenvalues(fgn_autocovariance(0.7, np.arange(65)), clip_negative=True)
+    assert eig.min() >= 0 and mass == 0.0
+    # params.json writes this value: it must read 0.0, not -0.0
+    assert math.copysign(1.0, mass) == 1.0
 
 
 def reference_fgn(length, hurst, rng):
