@@ -21,6 +21,7 @@ import numpy as np
 
 from hiermf import dhm as dhm_mod
 from hiermf.dependence import (
+    WeightScheme,
     corr_to_distance,
     exp_weights,
     kendall_tau,  # perfbench/selftest.py patches kendall_tau in this namespace
@@ -195,6 +196,8 @@ def _load_panel(settings: Settings, min_rows: int) -> tuple[ReturnsPanel, dict]:
     except ValueError as exc:  # the delimiter is the field CsvSchema checks
         raise ValueError(f"{settings.source('delimiter')}: {exc}") from exc
     prices, report = load_prices_csv(data, schema)
+    if len(prices.tickers) < 2:
+        raise ValueError(f"{data}: 1 ticker; need at least 2")
     try:
         panel = returns_panel(prices)
     except ValueError as exc:  # alignment errors do not know the file
@@ -209,6 +212,17 @@ def _load_panel(settings: Settings, min_rows: int) -> tuple[ReturnsPanel, dict]:
     sidecar = report.to_sidecar()
     sidecar["aligned_rows"] = panel.n_times
     return panel, sidecar
+
+
+def _weights(settings: Settings, rows: int, theta: float) -> WeightScheme:
+    """exp_weights over `rows` rows; a theta whose oldest weight underflows names the setting."""
+    try:
+        return exp_weights(rows, theta)
+    except ValueError as exc:  # rows >= 2 and theta > 0 here, so only a zero weight is left
+        raise ValueError(
+            f"{settings.source('theta')} {theta!r} is too small for {rows} rows: "
+            "the oldest weight underflows to 0"
+        ) from exc
 
 
 def _unfittable(
@@ -232,7 +246,7 @@ def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
     panel, ingestion = _load_panel(settings, MIN_SERIES_LENGTH - 1)
     manifest.stage("load")
 
-    scheme = exp_weights(panel.n_times, settings["theta"] or panel.n_times / 3.0)
+    scheme = _weights(settings, panel.n_times, settings["theta"] or panel.n_times / 3.0)
     try:
         corr = weighted_pearson_matrix(panel, scheme)
     except ValueError as exc:  # a zero-variance error names the ticker but not the file
@@ -359,6 +373,7 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
             f"{settings.source('window-length')} {length} is too short for the Hurst fit; "
             f"need at least {MIN_SERIES_LENGTH - 1} returns per window"
         )
+    scheme = _weights(settings, length, theta)
 
     panel, ingestion = _load_panel(settings, length)
     spec = WindowSpec(length=length, count=count)
@@ -366,7 +381,6 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
     write_json_atomic(manifest.record("ingestion.json"), ingestion, indent=None)
     manifest.stage("load")
 
-    scheme = exp_weights(length, theta)
     # one pass over the whole panel shares each scale's increments across windows
     try:
         window_ghe = estimate_ghe(panel.log_price_paths(), windows=spec)

@@ -38,7 +38,6 @@ __all__ = [
     "xi_covariance",
     "simulate_xi",
     "xi_embedding_report",
-    "simulate_x",
     "sample_activations",
     "hierarchical_factor",
     "simulate_returns",
@@ -77,9 +76,6 @@ class RiskTree:
 
     def probability(self, node_id: int) -> float:
         return self.tree.node(node_id).p
-
-    def path_ids(self, leaf: str) -> frozenset[int]:
-        return frozenset(leaf_path(self.tree, leaf).node_ids)
 
 
 def draw_probabilities(
@@ -127,26 +123,23 @@ def xi_covariance(spec: LogVolSpec, lags: np.ndarray | int) -> np.ndarray:
     return np.where(h >= spec.horizon - 1, 0.0, cov)
 
 
-def _xi_sample(spec: LogVolSpec, length: int, rng: np.random.Generator) -> np.ndarray:
+def simulate_xi(spec: LogVolSpec, length: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Stationary mean-zero Gaussian path with the log-correlated covariance.
+
+    `seed` is a seed or a Generator, which is drawn from as it stands.
+    Circulant embedding; negative embedding eigenvalues are clipped to zero
+    and the lost mass redistributed, erroring when it exceeds
+    MAX_CLIPPED_EIGENVALUE_MASS of the total.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
     cov = xi_covariance(spec, np.arange(length + 1))
-    sample, clipped = _circulant_sample(cov, rng, clip_negative=True)
+    sample, clipped = _circulant_sample(cov, np.random.default_rng(seed), clip_negative=True)
     if clipped > MAX_CLIPPED_EIGENVALUE_MASS:
         raise ValueError(
             f"embedding clipped {clipped:.2%} of eigenvalue mass; use a longer path"
         )
     return sample
-
-
-def simulate_xi(spec: LogVolSpec, length: int, seed: int) -> np.ndarray:
-    """Stationary mean-zero Gaussian path with the log-correlated covariance.
-
-    Circulant embedding; negative embedding eigenvalues are clipped to zero
-    and the lost mass redistributed, erroring when it exceeds
-    MAX_CLIPPED_EIGENVALUE_MASS of the total.
-    """
-    if length < 2:
-        raise ValueError("length must be >= 2")
-    return _xi_sample(spec, length, np.random.default_rng(seed))
 
 
 def xi_embedding_report(spec: LogVolSpec, length: int) -> dict:
@@ -160,11 +153,6 @@ def xi_embedding_report(spec: LogVolSpec, length: int) -> dict:
     }
 
 
-def simulate_x(xi: np.ndarray) -> np.ndarray:
-    """Common volatility path x = exp(xi)."""
-    return np.exp(np.asarray(xi, dtype=float))
-
-
 @dataclass(frozen=True)
 class Activations:
     """Bernoulli risk draws K[m, t]; one row per tree node, shared by all leaves under it."""
@@ -176,14 +164,11 @@ class Activations:
 def sample_activations(tree: RiskTree, length: int, seed_or_rng) -> Activations:
     """Independent K[m, t] ~ Bernoulli(p_m) across nodes and times.
 
+    `seed_or_rng` is a seed or a Generator, which is drawn from as it stands.
     Drawn one node row at a time straight into uint8; the generator fills
     arrays in C order, so this is the same stream as one (nodes, length) draw.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     ids = tree.node_ids
     draws = np.empty((len(ids), length), dtype=np.uint8)
     for k, node_id in enumerate(ids):
@@ -200,7 +185,7 @@ def hierarchical_factor(tree: RiskTree, activations: Activations, leaf: str, t: 
 def _leaf_paths(tree: RiskTree, node_ids: Sequence[int], leaves: Sequence[str]) -> list[list[int]]:
     """Per leaf, the activation rows (positions in `node_ids`) of its ancestors."""
     index = {node_id: k for k, node_id in enumerate(node_ids)}
-    return [[index[i] for i in leaf_path(tree.tree, leaf).node_ids] for leaf in leaves]
+    return [[index[i] for i in leaf_path(tree.tree, leaf)] for leaf in leaves]
 
 
 def _risk_factors(paths: Sequence[Sequence[int]], values: np.ndarray) -> np.ndarray:
@@ -297,7 +282,7 @@ def _xi_path(spec: DhmSpec) -> np.ndarray | None:
     """xi over the whole length from stream (seed, 1); None when the volatility is off."""
     if spec.logvol is None:
         return None
-    return _xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
+    return simulate_xi(spec.logvol, spec.length, derived_rng(spec.seed, 1))
 
 
 def _regime_activations(spec: DhmSpec) -> tuple[Activations, ...]:
@@ -362,11 +347,8 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     for _ in _return_blocks(spec, x, activations, out=values):
         pass
 
-    panel = ReturnsPanel(
-        assets=spec.noise.assets, times=range(spec.length), values=values, scale=1
-    )
     return SimulationOutput(
-        returns=panel,
+        returns=ReturnsPanel(assets=spec.noise.assets, times=range(spec.length), values=values),
         activations=activations,
         x=x,
         xi=xi,
@@ -555,9 +537,12 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
     for key in ("length", "regimes"):
         if key not in config:
             raise ValueError(f"model config missing key {key!r}")
-    seed = seed_override if seed_override is not None else config.get("seed")
-    if seed is None:
+    if seed_override is not None:
+        seed = int(seed_override)
+    elif config.get("seed") is None:
         raise ValueError("model config needs a seed")
+    else:
+        seed = checked_int(config["seed"], "model config key 'seed'", 0)
     length = checked_int(config["length"], "model config key 'length'")
 
     logvol_cfg = config.get("logvol", {})
@@ -595,7 +580,7 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
         )
         inherit = previous if inherit_previous else None
         risk_tree = _risk_tree_from_config(
-            tree, p_range, inherit, derived_rng(int(seed), 3, k)
+            tree, p_range, inherit, derived_rng(seed, 3, k)
         )
         previous = {i: risk_tree.probability(i) for i in risk_tree.node_ids}
         regimes.append(Regime(tree=risk_tree, duration=duration))
@@ -607,7 +592,7 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
         regimes=tuple(regimes),
         logvol=logvol,
         length=length,
-        seed=int(seed),
+        seed=seed,
         noise_variances=variances,
     )
 
@@ -615,7 +600,10 @@ def load_dhm_config_dict(config: Mapping, base_dir, seed_override: int | None = 
 def load_dhm_config(path) -> DhmSpec:
     """Read a model spec JSON file; relative paths resolve against its directory."""
     path = Path(path)
-    config = json.loads("".join(input_lines(path)))
+    try:
+        config = json.loads("".join(input_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc} (at {path})") from exc
     return load_dhm_config_dict(config, path.parent)
 
 

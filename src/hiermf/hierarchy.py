@@ -24,7 +24,6 @@ from hiermf.util import derived_rng, input_lines, write_json_atomic
 __all__ = [
     "TreeNode",
     "Dendrogram",
-    "LeafPath",
     "ClusterCut",
     "BootstrapReport",
     "DendrogramFormatError",
@@ -147,9 +146,6 @@ class Dendrogram:
     def node(self, node_id: int) -> TreeNode:
         return self._by_id[node_id]
 
-    def parent_of(self, ref: int | str) -> int | None:
-        return self._parent.get(ref)
-
     def with_probabilities(self, probs: Mapping[int, float]) -> "Dendrogram":
         """Copy with node probabilities replaced from a node-id map."""
         missing = [n.id for n in self.nodes if n.id not in probs]
@@ -169,36 +165,21 @@ class Dendrogram:
         return True
 
 
-@dataclass(frozen=True)
-class LeafPath:
-    """Internal nodes over one leaf, ordered from the deepest ancestor to the root."""
-
-    leaf: str
-    node_ids: tuple[int, ...]
-    nodes: tuple[TreeNode, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.node_ids)
-
-
-def leaf_path(tree: Dendrogram, leaf: str) -> LeafPath:
-    """The unique ancestor chain of a leaf (its parent first, the root last)."""
-    if leaf not in tree._orders:
-        raise ValueError(f"unknown leaf {leaf!r}")
+def leaf_path(tree: Dendrogram, leaf: str) -> tuple[int, ...]:
+    """The ids of a leaf's ancestors, its parent first and the root last."""
+    hierarchical_order(tree, leaf)  # rejects an unknown leaf
     ids: list[int] = []
     ref: int | str = leaf
-    while (parent := tree.parent_of(ref)) is not None:
-        ids.append(parent)
-        ref = parent
-    return LeafPath(
-        leaf=leaf, node_ids=tuple(ids), nodes=tuple(tree.node(i) for i in ids)
-    )
+    while (ref := tree._parent.get(ref)) is not None:
+        ids.append(ref)
+    return tuple(ids)
 
 
 def hierarchical_order(tree: Dendrogram, leaf: str) -> int:
     """Number of internal nodes between the leaf and the root (inclusive)."""
-    return leaf_path(tree, leaf).order
+    if leaf not in tree._orders:
+        raise ValueError(f"unknown leaf {leaf!r}")
+    return tree._orders[leaf]
 
 
 def order_profile(tree: Dendrogram) -> dict[str, int]:
@@ -395,12 +376,7 @@ def bootstrap_orders(
         for attempt in range(100):
             rng = derived_rng(seed, r, attempt)
             rows = rng.integers(0, t, size=t)
-            resampled = ReturnsPanel(
-                assets=panel.assets,
-                times=range(t),
-                values=panel.values[rows],
-                scale=panel.scale,
-            )
+            resampled = ReturnsPanel(assets=panel.assets, times=range(t), values=panel.values[rows])
             try:
                 corr = weighted_pearson_matrix(resampled, scheme)
             except ValueError:

@@ -62,12 +62,11 @@ class PricePanel:
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """Time x asset matrix of log-returns at a common scale (in trading days)."""
+    """Time x asset matrix of daily (scale-1) log-returns."""
 
     assets: tuple[str, ...]
     times: tuple | range  # a range (simulated step indices) stays lazy
     values: np.ndarray
-    scale: int = 1
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -87,8 +86,6 @@ class ReturnsPanel:
             finite_sum = np.isfinite(values.sum())
         if not finite_sum and not np.all(np.isfinite(values)):
             raise ValueError("panel contains non-finite entries")
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
 
     @property
     def n_times(self) -> int:
@@ -99,13 +96,10 @@ class ReturnsPanel:
         return self.values.shape[1]
 
     def log_price_paths(self) -> np.ndarray:
-        """Cumulative scale-1 log-prices (anchored at 0), one column per asset.
+        """Cumulative log-prices (anchored at 0), one column per asset.
 
-        Only meaningful for scale-1 panels; increments of the result at scale
-        l telescope exactly back to l-day returns.
+        Increments of the result at scale l telescope back to l-day returns.
         """
-        if self.scale != 1:
-            raise ValueError("log-price reconstruction requires a scale-1 panel")
         out = np.zeros((self.n_times + 1, self.n_assets))
         np.cumsum(self.values, axis=0, out=out[1:])
         return out
@@ -329,14 +323,13 @@ def rolling_windows(panel: ReturnsPanel, spec: WindowSpec) -> list[ReturnsPanel]
             assets=panel.assets,
             times=panel.times[s : s + spec.length],
             values=panel.values[s : s + spec.length],
-            scale=panel.scale,
         )
         for s in starts
     ]
 
 
-def returns_panel(panel: PricePanel, scale: int = 1) -> ReturnsPanel:
-    """Scale-`scale` log-returns on the rows where every ticker has a valid price.
+def returns_panel(panel: PricePanel) -> ReturnsPanel:
+    """Daily log-returns on the rows where every ticker has a valid price.
 
     Those rows are the intersection of the tickers' dates: continuously
     traded tickers keep their full span, and a ticker's missing rows shrink
@@ -344,14 +337,10 @@ def returns_panel(panel: PricePanel, scale: int = 1) -> ReturnsPanel:
     """
     valid = _valid(panel.prices)
     common = np.logical_and.reduce(valid, axis=1)
-    n_common = int(np.count_nonzero(common))
-    if n_common < 2:
+    if np.count_nonzero(common) < 2:
         raise ValueError(_too_few_common_rows(panel.tickers, valid))
-    if scale >= n_common:
-        raise ValueError(f"scale {scale} >= aligned length {n_common}")
     dates = tuple(itertools.compress(panel.dates, common.tolist()))
-    values = log_returns(panel.prices[common], scale)
-    return ReturnsPanel(assets=panel.tickers, times=dates[scale:], values=values, scale=scale)
+    return ReturnsPanel(assets=panel.tickers, times=dates[1:], values=log_returns(panel.prices[common]))
 
 
 def _too_few_common_rows(tickers: tuple[str, ...], valid: np.ndarray) -> str:

@@ -612,6 +612,33 @@ def test_short_panel_without_drops_reports_row_count(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {data}: 149 aligned returns, need at least 189\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "rolling"])
+def test_a_one_ticker_price_file_is_named(tmp_path, capsys, command):
+    data = tmp_path / "p1.csv"
+    write_price_csv(data, n_assets=1, length=400)
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {data}: 1 ticker; need at least 2\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, flags, rows",
+    [("analyze", [], 399), ("rolling", ["--window-length", "200", "--window-count", "2"], 200)],
+)
+def test_a_theta_whose_oldest_weight_underflows_is_named(tmp_path, capsys, command, flags, rows, source):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=4, length=400)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta": 0.001}))
+    theta = ["--theta", "0.001"] if source == "flag" else ["--config", str(config)]
+    rc = main([command, "--data", str(data), *theta, *flags, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    named = "--theta" if source == "flag" else "config key 'theta'"
+    assert capsys.readouterr().err == (
+        f"error: {named} 0.001 is too small for {rows} rows: the oldest weight underflows to 0\n"
+    )
+
+
 def write_price_csv_setting_t2(path, t2_price):
     """1,000 rows of 4 tickers; T2's cell on row t becomes t2_price(t) unless that is None."""
     write_price_csv(path, n_assets=4, length=1000)

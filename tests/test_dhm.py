@@ -23,7 +23,6 @@ from hiermf.dhm import (
     perturbation_factor,
     sample_activations,
     simulate_returns,
-    simulate_x,
     simulate_xi,
     theoretical_correlation,
     xi_covariance,
@@ -146,6 +145,14 @@ def test_xi_deterministic():
     assert np.array_equal(simulate_xi(spec, 1024, 3), simulate_xi(spec, 1024, 3))
 
 
+def test_xi_takes_a_seed_or_a_generator_and_any_positive_length():
+    spec = LogVolSpec()
+    assert np.array_equal(simulate_xi(spec, 1024, np.random.default_rng(3)), simulate_xi(spec, 1024, 3))
+    assert simulate_xi(spec, 1, 3).shape == (1,)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        simulate_xi(spec, 0, 3)
+
+
 def test_xi_embedding_is_clean_at_default_parameters():
     report = xi_embedding_report(LogVolSpec(), 4026)
     assert report["clipped_eigenvalue_mass"] <= 0.0 + 1e-15
@@ -162,14 +169,9 @@ def test_circulant_guard_and_clipping():
     assert clipped > 0
 
 
-def test_simulate_x_values():
-    assert np.array_equal(simulate_x(np.zeros(5)), np.ones(5))
-    assert simulate_x(np.array([1.0]))[0] == pytest.approx(E)
-
-
 def test_x_mean_matches_lognormal_identity():
     spec = LogVolSpec()
-    means = [np.mean(simulate_x(simulate_xi(spec, 2048, seed))) for seed in range(500)]
+    means = [np.mean(np.exp(simulate_xi(spec, 2048, seed))) for seed in range(500)]
     assert np.mean(means) == pytest.approx(1.1430409769881058, abs=0.02)
 
 
@@ -193,6 +195,13 @@ def test_activation_rates_in_binomial_band():
     acts = sample_activations(risk_comb(8, 0.5), 100_000, seed_or_rng=2)
     rates = acts.values.mean(axis=1)
     assert np.all((rates >= 0.494) & (rates <= 0.506))
+
+
+def test_activations_take_a_seed_or_a_generator():
+    tree = risk_comb(6, 0.5)
+    by_seed = sample_activations(tree, 300, seed_or_rng=4)
+    by_rng = sample_activations(tree, 300, seed_or_rng=np.random.default_rng(4))
+    assert np.array_equal(by_seed.values, by_rng.values)
 
 
 def test_hierarchical_factor_counts_active_ancestors(example_tree):
@@ -301,7 +310,7 @@ def test_theoretical_correlation_all_on_equals_noise():
 def _pairwise_loop_correlation(noise, tree):
     """Reference: the pair-by-pair double loop the matrix kernel replaced."""
     assets = noise.assets
-    paths = {leaf: tree.path_ids(leaf) for leaf in assets}
+    paths = {leaf: frozenset(leaf_path(tree.tree, leaf)) for leaf in assets}
     probs = {node_id: tree.probability(node_id) for node_id in tree.node_ids}
     n = len(assets)
     values = np.eye(n)
@@ -405,7 +414,7 @@ def test_reconstruction_from_logs():
     spec = DhmSpec(noise=noise, regimes=(Regime(tree, 3000),), logvol=LogVolSpec(), length=3000, seed=9)
     out = simulate_returns(spec)
     epsilon = reference_simulate_returns(spec)[1]
-    paths = {leaf: frozenset(tree.path_ids(leaf)) for leaf in labels}
+    paths = {leaf: frozenset(leaf_path(tree.tree, leaf)) for leaf in labels}
     ids = out.activations[0].node_ids
     for j, asset in enumerate(out.returns.assets):
         rows = [ids.index(i) for i in paths[asset]]
@@ -498,7 +507,7 @@ def reference_leaf_factors(tree, activations, leaves):
     length = activations.values.shape[1]
     counts = np.zeros((len(leaves), length), dtype=np.int64)
     for j, leaf in enumerate(leaves):
-        for node_id in leaf_path(tree.tree, leaf).node_ids:
+        for node_id in leaf_path(tree.tree, leaf):
             counts[j] += activations.values[index[node_id]]
     return np.exp(counts.T.astype(float))
 
@@ -515,7 +524,7 @@ def reference_simulate_returns(spec):
     if spec.logvol is None:
         xi = np.zeros(spec.length)
     else:
-        xi = dhm._xi_sample(spec.logvol, spec.length, derived_rng(spec.seed, 1))
+        xi = dhm.simulate_xi(spec.logvol, spec.length, derived_rng(spec.seed, 1))
     x = np.exp(xi)
     values = epsilon * x[:, None]
     activations = []
@@ -565,6 +574,7 @@ B = BLOCK_ROWS
     "length, n_regimes, logvol",
     [
         (1, 1, False),
+        (1, 1, True),
         (2, 2, False),
         (2, 1, True),
         (B - 1, 3, True),
@@ -919,6 +929,34 @@ def reference_risk_tree_from_config(tree, p_range, inherit, rng):
         else:
             raise ValueError(f"node {node.id} has no probability")
     return RiskTree(tree.with_probabilities(probs))
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [("7", "must be an integer, got '7'"), (2.7, "must be an integer, got 2.7"),
+     (True, "must be an integer, got True"), (-3, "must be >= 0, got -3")],
+    ids=["string", "float", "bool", "negative"],
+)
+def test_load_dhm_config_names_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed, message):
+    serialize_dendrogram(random_binary_tree(3, np.random.default_rng(15)), tmp_path / "t.json")
+    config = {
+        "length": 10, "seed": seed,
+        "regimes": [{"tree": "t.json", "duration": 10, "p_range": [0.4, 0.6]}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(config))
+    with pytest.raises(ValueError) as info:
+        load_dhm_config(tmp_path / "m.json")
+    assert str(info.value) == f"model config key 'seed' {message}"
+
+
+def test_load_dhm_config_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"length": 5,')
+    with pytest.raises(json.JSONDecodeError) as reason:
+        json.loads(path.read_text())
+    with pytest.raises(ValueError) as info:
+        load_dhm_config(path)
+    assert str(info.value) == f"not valid JSON: {reason.value} (at {path})"
 
 
 def test_risk_tree_from_config_matches_the_old_node_loop():

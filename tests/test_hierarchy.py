@@ -286,10 +286,10 @@ def test_linkage_reads_the_upper_triangle():
 
 def test_example_tree_leaf_path(example_tree):
     path = leaf_path(example_tree, "i")
-    assert set(path.node_ids) == {1, 2, 4, 5, 8, 10}
-    assert path.node_ids[0] == 10  # deepest ancestor first
-    assert path.node_ids[-1] == 1  # root last
-    assert path.order == 6
+    assert set(path) == {1, 2, 4, 5, 8, 10}
+    assert path[0] == 10  # deepest ancestor first
+    assert path[-1] == 1  # root last
+    assert len(path) == 6
 
 
 def test_example_tree_order(example_tree):
@@ -300,18 +300,29 @@ def test_example_tree_order(example_tree):
 def test_two_leaf_path_is_root_only():
     tree = linkage_cluster(np.array([[0.0, 1.0], [1.0, 0.0]]), ["A", "B"])
     for leaf in ("A", "B"):
-        assert leaf_path(tree, leaf).node_ids == (tree.root,)
+        assert leaf_path(tree, leaf) == (tree.root,)
         assert hierarchical_order(tree, leaf) == 1
 
 
 def test_balanced_four_leaf_paths():
     tree = tree_from_leaf_depths([2, 2, 2, 2], ["a", "b", "c", "d"])
-    assert all(leaf_path(tree, leaf).order == 2 for leaf in tree.leaves)
+    assert all(len(leaf_path(tree, leaf)) == 2 for leaf in tree.leaves)
 
 
 def test_unknown_leaf_rejected(example_tree):
     with pytest.raises(ValueError, match="unknown leaf"):
         leaf_path(example_tree, "nope")
+
+
+@pytest.mark.parametrize("n_leaves", [2, 3, 17, 400])
+def test_order_profile_hierarchical_order_and_leaf_path_agree(n_leaves):
+    rng = np.random.default_rng(n_leaves)
+    for tree in (random_binary_tree(n_leaves, rng), comb_tree(n_leaves)):
+        profile = order_profile(tree)
+        for leaf in tree.leaves:
+            assert hierarchical_order(tree, leaf) == profile[leaf] == len(leaf_path(tree, leaf))
+        with pytest.raises(ValueError, match="unknown leaf 'nope'"):
+            hierarchical_order(tree, "nope")
 
 
 def test_comb_tree_orders():

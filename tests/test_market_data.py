@@ -213,7 +213,7 @@ def reference_align_series(series):
     return dates, tuple(s.ticker for s in series), matrix
 
 
-def reference_returns(path, schema=None, scale=1):
+def reference_returns(path, schema=None):
     """(times, returns bytes, drop counts) of the series path, or its error message.
 
     The reference loader builds one ReferenceSeries per ticker, the series
@@ -224,20 +224,18 @@ def reference_returns(path, schema=None, scale=1):
         loaded, drops = reference_load_prices_csv(path, schema)
         series = [ReferenceSeries(t, stamps, prices) for t, (stamps, prices) in loaded.items()]
         dates, tickers, matrix = reference_align_series(series)
-        if scale >= len(dates):
-            raise ValueError(f"scale {scale} >= aligned length {len(dates)}")
         logs = np.log(matrix)
-        values = logs[scale:] - logs[:-scale]
+        values = logs[1:] - logs[:-1]
     except ValueError as exc:
         return str(exc)
-    return tickers, dates[scale:], values.tobytes(), drops
+    return tickers, dates[1:], values.tobytes(), drops
 
 
-def matrix_returns(path, schema=None, scale=1):
+def matrix_returns(path, schema=None):
     """The same outcome through load_prices_csv and returns_panel."""
     try:
         panel, report = load_prices_csv(path, schema)
-        returns = returns_panel(panel, scale)
+        returns = returns_panel(panel)
     except ValueError as exc:
         return str(exc)
     return returns.assets, returns.times, returns.values.tobytes(), report.drop_counts
@@ -411,13 +409,13 @@ GAPPY_PANELS = {
 }
 
 
-@pytest.mark.parametrize("scale", [1, 3])
-@pytest.mark.parametrize("name", list(GAPPY_PANELS))
-def test_returns_match_the_series_oracle_on_gappy_panels(tmp_path, name, scale):
+# each id keeps its "-1" suffix (the returns' scale), so each case keeps its name
+@pytest.mark.parametrize("name", list(GAPPY_PANELS), ids=lambda name: f"{name}-1")
+def test_returns_match_the_series_oracle_on_gappy_panels(tmp_path, name):
     f = tmp_path / f"{name}.csv"
     write_gappy_panel(f, seed=len(name), edit=GAPPY_PANELS[name])
-    expected = reference_returns(f, scale=scale)
-    assert matrix_returns(f, scale=scale) == expected
+    expected = reference_returns(f)
+    assert matrix_returns(f) == expected
     if name.startswith("short"):
         assert isinstance(expected, str)
     else:
@@ -546,7 +544,7 @@ def test_loader_matches_the_oracle_at_block_edges(tmp_path, n_rows):
     f = tmp_path / "p.csv"
     write_gappy_panel(f, n_rows=n_rows, seed=n_rows, edit=_scattered_bad_cells)
     assert_loader_matches_reference(f)
-    assert matrix_returns(f, scale=2) == reference_returns(f, scale=2)
+    assert matrix_returns(f) == reference_returns(f)
 
 
 def test_blank_lines_short_rows_and_quoted_cells_at_block_edges_match_the_oracle(tmp_path):
