@@ -514,6 +514,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
             manifest = Manifest(out, args.command)
+            manifest.remove_stale()
             status = _COMMANDS[args.command][0](settings, manifest)
         except ValueError as exc:
             for message in _messages(caught):

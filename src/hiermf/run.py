@@ -23,6 +23,17 @@ class Manifest:
         self._t0 = time.perf_counter()
         self._stage_start = self._t0
 
+    @property
+    def path(self) -> Path:
+        return self.out_dir / "manifest.json"
+
+    def remove_stale(self):
+        """Delete an earlier run's manifest, so a run that fails leaves none behind."""
+        try:
+            self.path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot remove {self.path}: {exc.strerror}") from exc
+
     def stage(self, name: str):
         now = time.perf_counter()
         self.stages[name] = round(now - self._stage_start, 6)
@@ -47,7 +58,7 @@ class Manifest:
             "warnings": warning_messages,
             "outputs": sorted(self.outputs),
         }
-        write_json_atomic(self.out_dir / "manifest.json", payload)
+        write_json_atomic(self.path, payload)
 
 
 def _messages(caught: list[warnings.WarningMessage]) -> list[str]:

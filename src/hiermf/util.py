@@ -38,20 +38,31 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int = 1) 
         return list(pool.map(fn, items))
 
 
+def _write_error(path: str | os.PathLike, exc: OSError) -> ValueError:
+    """An OSError of a writer as the ValueError a command reports, naming `path`."""
+    return ValueError(f"cannot write {os.fspath(path)}: {exc.strerror or exc}")
+
+
 def write_json_atomic(path: str | os.PathLike, payload: Any, indent: int | None = 2) -> None:
-    """Write JSON via a temp file + rename so readers never see partial content."""
+    """Write JSON via a temp file + rename so readers never see partial content.
+
+    A file that cannot be written is a ValueError naming `path`.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=indent, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh, indent=indent, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _write_error(path, exc) from exc
 
 
 def input_lines(path: str | os.PathLike) -> Iterator[str]:
@@ -121,15 +132,19 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
     """CSV with "\n" line ends and round-trip floats (byte-stable by content).
 
     A cell holding a comma, a quote or a line break is quoted, as csv's
-    minimal quoting does, so csv.reader reads every row back whole.
+    minimal quoting does, so csv.reader reads every row back whole. A file
+    that cannot be written is a ValueError naming `path`.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in itertools.chain([header], rows):
-            if _NUMBER_TYPES.issuperset(map(type, row)):
-                cells = map(repr, row)  # repr of a Python int or float is already its cell
-            else:
-                cells = [
-                    format_float(c) if isinstance(c, (float, np.floating)) else _quoted(str(c))
-                    for c in row
-                ]
-            fh.write(",".join(cells) + "\n")
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            for row in itertools.chain([header], rows):
+                if _NUMBER_TYPES.issuperset(map(type, row)):
+                    cells = map(repr, row)  # repr of a Python int or float is already its cell
+                else:
+                    cells = [
+                        format_float(c) if isinstance(c, (float, np.floating)) else _quoted(str(c))
+                        for c in row
+                    ]
+                fh.write(",".join(cells) + "\n")
+    except OSError as exc:
+        raise _write_error(path, exc) from exc

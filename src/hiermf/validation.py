@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from hiermf import dhm
-from hiermf.dependence import elliptical_tau, kendall_tau, one_factor_correlation
+from hiermf.dependence import elliptical_tau, kendall_tau_matrix, one_factor_correlation
 from hiermf.hierarchy import random_binary_tree
 from hiermf.util import derived_rng
 
@@ -91,8 +91,9 @@ def check_tau_dispersion(n_seeds: int, length: int, seed: int, min_ratio: float 
         returns = _hier_flat_returns(seed, 30, k, VALIDATION_LEAVES, length, (0.4, 0.6))
         for tag, values in returns.items():
             corr = np.corrcoef(values.T)
+            tau = kendall_tau_matrix(values)
             devs = [
-                kendall_tau(values[:, i], values[:, j]) - elliptical_tau(float(corr[i, j]))
+                tau[i, j] - elliptical_tau(float(corr[i, j]))
                 for i in range(VALIDATION_LEAVES)
                 for j in range(i + 1, VALIDATION_LEAVES)
             ]

@@ -1259,6 +1259,42 @@ def test_an_out_that_cannot_be_created_is_named(tmp_path, capsys, case):
     )
 
 
+def test_a_rerun_that_fails_leaves_no_stale_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["calibrate", "--count", "10", "--length", "200", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    missing = tmp_path / "nope.csv"
+    assert main(["analyze", "--data", str(missing), "--out", str(out)]) == 1
+    assert f"cannot read {missing}" in capsys.readouterr().err
+    # the earlier run's threshold.json stays, but no manifest claims this run succeeded
+    assert (out / "threshold.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_manifest_that_cannot_be_removed_is_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["calibrate", "--count", "10", "--length", "200", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot remove {out / 'manifest.json'}: ")
+
+
+def test_an_output_that_cannot_be_written_is_named(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data)
+    out = tmp_path / "out"
+    argv = ["analyze", "--data", str(data), "--threshold", "0", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (out / "tree.json").unlink()
+    (out / "tree.json").mkdir()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'tree.json'}: {os.strerror(errno.EISDIR)}\n"
+    )
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp"))
+
+
 # --- argument handling ---
 
 

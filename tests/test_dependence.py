@@ -11,7 +11,9 @@ from hiermf.dependence import (
     elliptical_tau,
     exp_weights,
     flat_weights,
+    _discordant_pairs,
     kendall_tau,
+    kendall_tau_matrix,
     read_correlation_csv,
     weighted_pearson_matrix,
     write_correlation_csv,
@@ -182,6 +184,83 @@ def test_tau_handles_ties_like_pair_enumeration():
         (n0 - (dx[iu] == 0).sum()) * (n0 - (dy[iu] == 0).sum())
     )
     assert kendall_tau(x, y) == pytest.approx(expected, abs=1e-12)
+
+
+def brute_discordant(perm):
+    perm = np.asarray(perm)
+    return int(np.triu(perm[:, None] > perm[None, :], 1).sum())
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 63, 64, 65, 1023, 1024, 1025])
+def test_discordant_pair_count_matches_brute_force(n):
+    rng = np.random.default_rng(n)
+    rows = np.array([rng.permutation(n) for _ in range(4)] + [np.arange(n), np.arange(n)[::-1]])
+    counts = _discordant_pairs(rows.astype(np.int32))
+    assert counts.tolist() == [brute_discordant(row) for row in rows]
+    assert counts[-2:].tolist() == [0, n * (n - 1) // 2]
+
+
+def _tie_panel(rng, ties_in):
+    """n x 2 panel with ties in the named columns, neither column constant."""
+    n = int(rng.integers(2, 301))
+    values = rng.standard_normal((n, 2))
+    for column in ties_in:
+        values[:, column] = rng.integers(0, int(rng.integers(2, max(3, n // 2))), n)
+        values[0, column], values[-1, column] = -1.0, 1e6  # never constant
+    return values
+
+
+@pytest.mark.parametrize("ties_in", [(), (0,), (1,), (0, 1)], ids=["none", "x", "y", "both"])
+def test_tau_matrix_equals_scipy_bitwise(ties_in):
+    from scipy import stats
+
+    rng = np.random.default_rng(len(ties_in) + 10 * sum(ties_in))
+    for _ in range(130):
+        values = _tie_panel(rng, ties_in)
+        tau = kendall_tau_matrix(values)
+        assert tau.shape == (2, 2) and tau[0, 0] == tau[1, 1] == 1.0
+        assert tau[0, 1] == stats.kendalltau(values[:, 0], values[:, 1]).statistic
+        assert tau[1, 0] == stats.kendalltau(values[:, 1], values[:, 0]).statistic
+        assert kendall_tau(values[:, 0], values[:, 1]) == tau[0, 1]
+
+
+def test_tau_matrix_equals_scipy_across_chunks():
+    from scipy import stats
+
+    # 20,000 rows put 3 pairs in a chunk, so the 15 pairs span 5 chunks; columns 1 and 4 tie
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((20_000, 6)) @ rng.standard_normal((6, 6))
+    values[:, 1] = np.round(values[:, 1])
+    values[:, 4] = rng.integers(0, 50, 20_000)
+    tau = kendall_tau_matrix(values)
+    for i in range(6):
+        for j in range(6):
+            expected = 1.0 if i == j else stats.kendalltau(values[:, i], values[:, j]).statistic
+            assert tau[i, j] == expected
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [(math.nan, "^column 2 contains non-finite values$"),
+     (math.inf, "^column 2 contains non-finite values$"),
+     (-math.inf, "^column 2 contains non-finite values$"),
+     (None, "^tau undefined for constant column 2$")],
+)
+def test_tau_matrix_rejects_a_bad_column_by_index(bad, message):
+    values = np.random.default_rng(0).standard_normal((30, 4))
+    if bad is None:
+        values[:, 2] = 0.25
+    else:
+        values[7, 2] = bad
+    with pytest.raises(ValueError, match=message):
+        kendall_tau_matrix(values)
+
+
+def test_tau_matrix_needs_two_rows():
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        kendall_tau_matrix(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        kendall_tau_matrix(np.arange(5.0))
 
 
 # --- elliptical relation and distances ---

@@ -1,4 +1,6 @@
 import csv
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -67,3 +69,17 @@ def test_write_csv_cells(tmp_path):
     )
     with open(path, newline="") as fh:
         assert [len(row) for row in csv.reader(fh)] == [3] * 5
+
+
+def test_writers_name_a_file_they_cannot_write(tmp_path):
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    reason = os.strerror(errno.ENOENT)
+    with pytest.raises(ValueError, match=f"^cannot write {missing}: {reason}$"):
+        util.write_csv(missing, ["a"], [[1]])
+    with pytest.raises(ValueError, match=f"^cannot write {missing}: {reason}$"):
+        util.write_json_atomic(missing, {"a": 1})
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    with pytest.raises(ValueError, match=f"^cannot write {blocked}: {os.strerror(errno.EISDIR)}$"):
+        util.write_json_atomic(blocked, {"a": 1})
+    assert not list(tmp_path.glob("*.tmp"))  # the temp file is gone
