@@ -17,35 +17,18 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from hiermf import dhm as dhm_mod
+from hiermf.analysis import ROLLING_COLUMNS, analyze_panel, rolling_rows
 from hiermf.dependence import (
     WeightScheme,
-    corr_to_distance,
     exp_weights,
     kendall_tau,  # perfbench/selftest.py patches kendall_tau in this namespace
-    weighted_pearson_matrix,
     write_correlation_csv,
 )
-from hiermf.diagnostics import order_conditional_mean, quantile_summary, trend_test
-from hiermf.hierarchy import (
-    LINKAGE_METHODS,
-    cluster_cut,
-    linkage_cluster,
-    order_profile,
-    parse_dendrogram,
-    serialize_dendrogram,
-)
-from hiermf.market_data import CsvSchema, ReturnsPanel, WindowSpec, load_prices_csv, returns_panel, rolling_windows
+from hiermf.hierarchy import LINKAGE_METHODS, parse_dendrogram, serialize_dendrogram
+from hiermf.market_data import CsvSchema, ReturnsPanel, WindowSpec, load_prices_csv, returns_panel
 from hiermf.run import Manifest, _messages
-from hiermf.scaling import (
-    MIN_SERIES_LENGTH,
-    DegenerateMomentError,
-    calibrate_threshold,
-    delta_h,
-    estimate_ghe,
-)
+from hiermf.scaling import MIN_SERIES_LENGTH, calibrate_threshold
 from hiermf.util import (
     checked_int,
     checked_number,
@@ -225,32 +208,12 @@ def _weights(settings: Settings, rows: int, theta: float) -> WeightScheme:
         ) from exc
 
 
-def _unfittable(
-    exc: DegenerateMomentError, data: str, panel: ReturnsPanel,
-    windows: list[ReturnsPanel] | None = None,
-) -> ValueError:
-    """The scaling error restated with the price file, the ticker and the window's dates."""
-    where = f"{data}: ticker {panel.assets[exc.column]!r}"
-    if exc.window is not None:
-        times = windows[exc.window].times
-        where += f" in window {exc.window} ({times[0]} to {times[-1]})"
-    return ValueError(
-        f"{where} has no price change at lag {exc.scale}, so M(q={exc.q}, l={exc.scale}) = 0 "
-        "and its Hurst exponents cannot be fitted"
-    )
-
-
 def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
-    threshold, tree_file, data = settings["threshold"], settings["tree"], settings["data"]
+    tree_file, data = settings["tree"], settings["data"]
     # the Hurst fit needs MIN_SERIES_LENGTH log-prices, one more than returns
     panel, ingestion = _load_panel(settings, MIN_SERIES_LENGTH - 1)
-    manifest.stage("load")
-
     scheme = _weights(settings, panel.n_times, settings["theta"] or panel.n_times / 3.0)
-    try:
-        corr = weighted_pearson_matrix(panel, scheme)
-    except ValueError as exc:  # a zero-variance error names the ticker but not the file
-        raise ValueError(f"{data}: {exc}") from exc
+    tree = None
     if tree_file:
         tree = parse_dendrogram(tree_file)
         if set(tree.leaves) != set(panel.assets):
@@ -259,60 +222,34 @@ def cmd_analyze(settings: Settings, manifest: Manifest) -> int:
                 raise ValueError(f"{tree_file}: leaf {leaf!r} is not a ticker of {data}")
             ticker = next(a for a in panel.assets if a not in tree.leaves)
             raise ValueError(f"{tree_file}: ticker {ticker!r} of {data} is not a leaf")
-    else:
-        tree = linkage_cluster(corr_to_distance(corr), panel.assets, settings["method"])
-    orders = order_profile(tree)
-    manifest.stage("dependence")
+    manifest.stage("load")
 
     try:
-        ghe = dict(zip(panel.assets, estimate_ghe(panel.log_price_paths())))
-    except DegenerateMomentError as exc:
-        raise _unfittable(exc, data, panel) from exc
-    dh = {a: delta_h(est) for a, est in ghe.items()}
-    retained = [a for a in panel.assets if threshold <= 0 or dh[a] > threshold]
-    if len(retained) < 3:
-        raise ValueError(
-            f"fewer than 3 assets survive the multiscaling threshold {threshold}"
-        )
-    manifest.stage("ghe")
-
-    stats = order_conditional_mean({a: dh[a] for a in retained}, {a: orders[a] for a in retained})
-    if len(stats.orders) >= 3:
-        trend = trend_test(stats.orders, stats.means)
-        trend_payload = trend.to_json()
-    else:
-        note = "fewer than 3 distinct orders; trend test skipped"
-        trend_payload = {"note": note}
-        warnings.warn(note)
+        result = analyze_panel(panel, scheme, settings["method"], settings["threshold"], tree)
+    except ValueError as exc:  # the library names tickers and windows but not the file
+        raise ValueError(f"{data}: {exc}") from exc
+    manifest.stage("analysis")
 
     write_csv(
         manifest.record("per_asset.csv"),
         ["asset", "H1", "H2", "dH12", "se_H1", "se_H2", "order", "retained"],
         [
-            [a, est.h(1.0), est.h(2.0), dh[a],
+            [a, est.h(1.0), est.h(2.0), result.dh[a],
              *(est.std_errors[est.q_values.index(q)] for q in (1.0, 2.0)),
-             orders[a], int(a in retained)]
-            for a, est in ghe.items()
+             result.orders[a], int(a in result.retained)]
+            for a, est in result.ghe.items()
         ],
     )
-    write_csv(
-        manifest.record("orders.csv"),
-        ["asset", "n"],
-        [[a, orders[a]] for a in panel.assets],
-    )
-    write_csv(
-        manifest.record("order_stats.csv"),
-        ["order", "mean_dH", "std", "std_error", "count"],
-        list(stats.rows()),
-    )
-    write_json_atomic(manifest.record("trend_test.json"), trend_payload)
-    write_correlation_csv(corr, manifest.record("correlation.csv"))
-    write_json_atomic(
-        manifest.record("correlation.meta.json"),
-        {"delta_t": scheme.delta_t, "theta": scheme.theta},
-    )
+    write_csv(manifest.record("orders.csv"), ["asset", "n"],
+              [[a, result.orders[a]] for a in panel.assets])
+    write_csv(manifest.record("order_stats.csv"), ["order", "mean_dH", "std", "std_error", "count"],
+              list(result.stats.rows()))
+    write_json_atomic(manifest.record("trend_test.json"), result.trend)
+    write_correlation_csv(result.correlation, manifest.record("correlation.csv"))
+    write_json_atomic(manifest.record("correlation.meta.json"),
+                      {"delta_t": scheme.delta_t, "theta": scheme.theta})
     write_json_atomic(manifest.record("ingestion.json"), ingestion, indent=None)
-    serialize_dendrogram(tree, manifest.record("tree.json"))
+    serialize_dendrogram(result.tree, manifest.record("tree.json"))
     manifest.stage("write")
     return 0
 
@@ -376,38 +313,16 @@ def cmd_rolling(settings: Settings, manifest: Manifest) -> int:
     scheme = _weights(settings, length, theta)
 
     panel, ingestion = _load_panel(settings, length)
-    spec = WindowSpec(length=length, count=count)
-    windows = rolling_windows(panel, spec)
     write_json_atomic(manifest.record("ingestion.json"), ingestion, indent=None)
     manifest.stage("load")
 
-    # one pass over the whole panel shares each scale's increments across windows
     try:
-        window_ghe = estimate_ghe(panel.log_price_paths(), windows=spec)
-    except DegenerateMomentError as exc:
-        raise _unfittable(exc, settings["data"], panel, windows) from exc
-    rows = []
-    for w_index, (window, estimates) in enumerate(zip(windows, window_ghe)):
-        corr = weighted_pearson_matrix(window, scheme)
-        off = corr.offdiagonal()
-        tree = linkage_cluster(corr_to_distance(corr), window.assets, settings["method"])
-        orders = order_profile(tree)
-        cut = cluster_cut(tree)
-        dhs = [delta_h(est) for est in estimates]
-        (quantiles,) = quantile_summary({"rho": off}, levels=(0.025, 0.25, 0.75, 0.975))
-        rows.append([
-            w_index, window.times[0], window.times[-1],
-            float(off.mean()), *quantiles.values,
-            cut.count, float(np.mean(dhs)), float(np.mean(list(orders.values()))),
-        ])
+        rows = rolling_rows(panel, WindowSpec(length=length, count=count), scheme, settings["method"])
+    except ValueError as exc:  # the library names tickers and windows but not the file
+        raise ValueError(f"{settings['data']}: {exc}") from exc
     manifest.stage("windows")
 
-    write_csv(
-        manifest.record("rolling.csv"),
-        ["window", "start", "end", "rho_mean", "rho_q025", "rho_q25",
-         "rho_q75", "rho_q975", "n_clusters", "mean_dH", "mean_order"],
-        rows,
-    )
+    write_csv(manifest.record("rolling.csv"), ROLLING_COLUMNS, rows)
     write_json_atomic(
         manifest.record("rolling.meta.json"),
         {"cluster_criterion": "largest-gap cut on the linkage dendrogram",

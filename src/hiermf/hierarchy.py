@@ -17,22 +17,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from hiermf.dependence import WeightScheme, corr_to_distance, weighted_pearson_matrix
-from hiermf.market_data import ReturnsPanel
-from hiermf.util import derived_rng, input_lines, write_json_atomic
+from hiermf.util import input_lines, write_json_atomic
 
 __all__ = [
     "TreeNode",
     "Dendrogram",
     "ClusterCut",
-    "BootstrapReport",
     "DendrogramFormatError",
     "linkage_cluster",
     "leaf_path",
     "hierarchical_order",
     "order_profile",
     "cluster_cut",
-    "bootstrap_orders",
     "parse_dendrogram",
     "serialize_dendrogram",
     "tree_from_leaf_depths",
@@ -333,76 +329,6 @@ def cluster_cut(tree: Dendrogram, k: int | None = None) -> ClusterCut:
             "cut does not split cleanly; merge heights are not monotone along the tree"
         )
     return ClusterCut(criterion=criterion, clusters=clusters, count=k)
-
-
-@dataclass(frozen=True)
-class BootstrapReport:
-    """Stability of per-leaf orders under row resampling with replacement."""
-
-    resamples: int
-    point_orders: dict[str, int]
-    order_histograms: dict[str, dict[int, int]]
-    retained: tuple[str, ...]
-    redraws: int
-    stability_rule: str
-
-
-def bootstrap_orders(
-    panel: ReturnsPanel,
-    scheme: WeightScheme,
-    method: str,
-    resamples: int,
-    seed: int,
-    modal_share: float = 0.67,
-    max_shift: int = 1,
-) -> BootstrapReport:
-    """Recompute correlation, tree, and orders on row-resampled panels.
-
-    A leaf is retained when its modal order appears in at least `modal_share`
-    of resamples and sits within `max_shift` of the point estimate.
-    Degenerate resamples (a zero-variance column) are redrawn and counted.
-    """
-    if resamples < 50:
-        raise ValueError("need at least 50 resamples")
-    point_tree = linkage_cluster(
-        corr_to_distance(weighted_pearson_matrix(panel, scheme)), panel.assets, method
-    )
-    point_orders = order_profile(point_tree)
-
-    histograms: dict[str, Counter] = {leaf: Counter() for leaf in panel.assets}
-    redraws = 0
-    t = panel.n_times
-    for r in range(resamples):
-        for attempt in range(100):
-            rng = derived_rng(seed, r, attempt)
-            rows = rng.integers(0, t, size=t)
-            resampled = ReturnsPanel(assets=panel.assets, times=range(t), values=panel.values[rows])
-            try:
-                corr = weighted_pearson_matrix(resampled, scheme)
-            except ValueError:
-                redraws += 1
-                continue
-            break
-        else:
-            raise ValueError("resampling kept producing zero-variance columns")
-        tree = linkage_cluster(corr_to_distance(corr), panel.assets, method)
-        for leaf, order in order_profile(tree).items():
-            histograms[leaf][order] += 1
-
-    retained = []
-    for leaf in panel.assets:
-        modal_order, modal_count = histograms[leaf].most_common(1)[0]
-        if modal_count >= modal_share * resamples and abs(modal_order - point_orders[leaf]) <= max_shift:
-            retained.append(leaf)
-    return BootstrapReport(
-        resamples=resamples,
-        point_orders=dict(point_orders),
-        order_histograms={leaf: dict(sorted(h.items())) for leaf, h in histograms.items()},
-        retained=tuple(retained),
-        redraws=redraws,
-        stability_rule=f"modal order in >= {modal_share:.0%} of resamples and within "
-        f"{max_shift} of the point estimate",
-    )
 
 
 _LEAF_PREFIX = "leaf:"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import PROFILE_DEPTHS, PROFILE_LABELS, equicorrelation, one_factor_correlation
+from hiermf.analysis import bootstrap_orders
 from hiermf.dependence import elliptical_tau, flat_weights, kendall_tau
 from hiermf.dhm import (
     DhmSpec,
@@ -27,7 +28,6 @@ from hiermf.dhm import (
 )
 from hiermf.diagnostics import acf, fit_powerlaw_decay, hill_alpha, order_conditional_mean, trend_test
 from hiermf.hierarchy import (
-    bootstrap_orders,
     comb_tree,
     linkage_cluster,
     order_profile,

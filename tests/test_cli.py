@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermf import cli, dependence, validation
+from hiermf import analysis, cli, dependence, validation
 from hiermf.cli import main
 from hiermf.dhm import RiskTree, simulate_returns, DhmSpec, Regime, LogVolSpec
 from hiermf.dependence import CorrelationMatrix, read_correlation_csv
@@ -663,6 +663,19 @@ def test_rolling_names_file_ticker_and_dates_of_a_flat_window(tmp_path, capsys):
     )
 
 
+def test_rolling_names_file_ticker_and_dates_of_a_zero_variance_window(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    # from row 600 on T2 doubles every row: a constant return of log 2, so the Hurst fit
+    # works but window 2 (returns dated 10650 to 10999) has no variance to correlate
+    write_price_csv_setting_t2(data, lambda t: repr(2.0**t) if t >= 600 else None)
+    rc = main(["rolling", "--data", str(data), "--window-length", "350", "--window-count", "3",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: zero weighted variance in column 'T2' in window 2 (10650 to 10999)\n"
+    )
+
+
 def test_analyze_names_file_and_ticker_of_a_flat_price(tmp_path, capsys):
     data = tmp_path / "prices.csv"
     write_price_csv_setting_t2(data, lambda t: "100.0")
@@ -677,6 +690,15 @@ def test_analyze_names_file_and_ticker_of_a_price_with_no_lag_2_change(tmp_path,
     assert capsys.readouterr().err == (
         f"error: {data}: ticker 'T2' has no price change at lag 2, "
         "so M(q=1.0, l=2) = 0 and its Hurst exponents cannot be fitted\n"
+    )
+
+
+def test_analyze_names_the_file_when_too_few_assets_pass_the_threshold(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=4)
+    assert main(["analyze", "--data", str(data), "--threshold", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: fewer than 3 assets survive the multiscaling threshold 1.0\n"
     )
 
 
@@ -923,13 +945,13 @@ def test_rolling_stationary_panel_is_flat(tmp_path):
 
 
 def test_rolling_warning_raised_per_window_is_listed_once(tmp_path, monkeypatch):
-    original = cli.quantile_summary
+    original = analysis.quantile_summary
 
     def warning_summary(*args, **kwargs):
         warnings.warn("probe warning")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "quantile_summary", warning_summary)
+    monkeypatch.setattr(analysis, "quantile_summary", warning_summary)
     data = tmp_path / "prices.csv"
     write_price_csv(data, n_assets=6, length=400)
     out = tmp_path / "out"
@@ -947,7 +969,7 @@ def test_rolling_infeasible_windows(tmp_path, capsys):
         "--window-count", "50", "--out", str(tmp_path / "o"),
     ])
     assert rc == 1
-    assert capsys.readouterr().err == "error: 50 windows of length 299 do not fit in 299 rows\n"
+    assert capsys.readouterr().err == f"error: {data}: 50 windows of length 299 do not fit in 299 rows\n"
 
 
 def test_rolling_rejects_short_window_before_any_window(tmp_path, capsys):

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
-from hiermf import hierarchy
+from hiermf import analysis, hierarchy
+from hiermf.analysis import bootstrap_orders
 from hiermf.dependence import corr_to_distance, flat_weights, weighted_pearson_matrix
 from hiermf.hierarchy import (
     Dendrogram,
     DendrogramFormatError,
     TreeNode,
-    bootstrap_orders,
     cluster_cut,
     comb_tree,
     hierarchical_order,
@@ -520,7 +520,7 @@ def test_bootstrap_unchanged_under_reference_linkage(monkeypatch):
     panel = block_panel(rng, n_per_block=5, length=200)
     kwargs = dict(scheme=flat_weights(200), method="average", resamples=50, seed=17)
     report = bootstrap_orders(panel, **kwargs)
-    monkeypatch.setattr(hierarchy, "linkage_cluster", reference_linkage_cluster)
+    monkeypatch.setattr(analysis, "linkage_cluster", reference_linkage_cluster)
     assert bootstrap_orders(panel, **kwargs) == report
 
 

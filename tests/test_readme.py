@@ -26,5 +26,12 @@ def test_readme_python_blocks_run_in_one_namespace(tmp_path, monkeypatch):
     assert namespace["returns"].n_times == 801
     assert set(namespace["orders"]) == set(namespace["returns"].assets)
     assert len(namespace["by_window"]) == 50
+    result = namespace["result"]
+    assert result.retained == namespace["returns"].assets
+    assert result.orders == namespace["orders"]
+    assert result.dh == namespace["dh"]
+    # the six tickers sit at three distinct orders, so the trend test runs
+    assert set(namespace["trend"]) == {"r", "t", "p_value", "n"} and namespace["trend"]["n"] == 3
+    assert [row[0] for row in namespace["rows"]] == list(range(50))
     assert namespace["out"].returns.values.shape == (4026, 16)
     assert namespace["report"]["passed"]
