@@ -37,6 +37,7 @@ from hiermf.util import (
     input_lines,
     parallel_map,
     write_csv,
+    write_digit_csv,
     write_json_atomic,
 )
 from hiermf.validation import check_equivalence, check_median_shift, check_tau_dispersion
@@ -265,11 +266,11 @@ def _simulate_one(item: tuple[int, dhm_mod.DhmSpec], out_dir: str) -> str:
         ([t, *row.tolist()] for t, row in zip(result.returns.times, result.returns.values)),
     )
     for k, acts in enumerate(result.activations):
-        start = result.regime_starts[k]
-        write_csv(
+        write_digit_csv(
             run_dir / f"activations_regime_{k:02d}.csv",
             ["t", *[f"node_{i}" for i in acts.node_ids]],
-            ([start + t, *row] for t, row in enumerate(acts.values.T.tolist())),
+            result.regime_starts[k],
+            acts.values.T,
         )
     write_json_atomic(run_dir / "params.json", dhm_mod.simulation_params(spec, result))
     return str(run_dir)

@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 MAX_CLIPPED_EIGENVALUE_MASS = 0.01
-# rows of noise and of the risk factor built at a time by the simulator
-BLOCK_ROWS = 65_536
+# rows of noise, activations and the risk factor built at a time by the simulator
+BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,28 @@ def sample_activations(tree: RiskTree, length: int, seed_or_rng) -> Activations:
     return Activations(node_ids=ids, values=draws)
 
 
+class _ActivationStream:
+    """`sample_activations(tree, duration, derived_rng(*key))`, drawn a block of steps at a time.
+
+    Node m reads stream `key` from offset m * duration, through its own
+    generator of that stream with the PCG64 state advanced there.
+    Generator.random takes one 64-bit output per double, so the blocks of
+    successive `fill` calls concatenate to bitwise the whole draw.
+    """
+
+    def __init__(self, tree: RiskTree, duration: int, key: tuple[int, ...]):
+        self.probabilities = [tree.probability(i) for i in tree.node_ids]
+        self._nodes = [derived_rng(*key) for _ in self.probabilities]
+        for m, node in enumerate(self._nodes):
+            node.bit_generator.advance(m * duration)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Draw the next out.shape[1] steps of every node into the (nodes, steps) uint8 `out`."""
+        for node, p, row in zip(self._nodes, self.probabilities, out):
+            np.less(node.random(row.size), p, out=row)
+        return out
+
+
 def hierarchical_factor(tree: RiskTree, activations: Activations, leaf: str, t: int) -> float:
     """Y[leaf, t] = exp(number of active path risks at t)."""
     paths = _leaf_paths(tree, activations.node_ids, (leaf,))
@@ -285,46 +307,47 @@ def _xi_path(spec: DhmSpec) -> np.ndarray | None:
     return simulate_xi(spec.logvol, spec.length, derived_rng(spec.seed, 1))
 
 
-def _regime_activations(spec: DhmSpec) -> tuple[Activations, ...]:
-    """Each regime's activations, drawn per node over the whole regime from stream (seed, 2, k)."""
-    return tuple(
-        sample_activations(regime.tree, regime.duration, derived_rng(spec.seed, 2, k))
-        for k, regime in enumerate(spec.regimes)
-    )
-
-
 def _return_blocks(
     spec: DhmSpec,
     x: np.ndarray | None,
-    activations: Sequence[Activations],
     out: np.ndarray | None = None,
+    activations: Sequence[np.ndarray] | None = None,
 ) -> Iterator[np.ndarray]:
     """The returns of each `_row_blocks(spec.length)` block, in row order.
 
     The noise epsilon is one stream (seed, 0) over the whole length. `x` of
     None leaves the volatility out, which is exact when it is identically 1.
-    A block that crosses a regime boundary takes each regime's risk factors
+    Regime k's activations are stream (seed, 2, k), drawn block by block. A
+    block that crosses a regime boundary takes each regime's risk factors
     for its own rows. With `out`, a (length, assets) array, each block is
     written into its rows and yielded as a view; otherwise each block is new.
+    With `activations`, one (nodes, duration) uint8 array per regime, the
+    draws are written into their columns; otherwise each block's are dropped.
     """
     assets = spec.noise.assets
     transform = _noise_transform(spec.noise)
     eps_rng = derived_rng(spec.seed, 0)
-    regimes = []  # (first row, end row, leaf paths, activation values)
+    regimes = []  # (first row, end row, leaf paths, activation stream, activation values)
     t0 = 0
-    for regime, acts in zip(spec.regimes, activations):
-        paths = _leaf_paths(regime.tree, acts.node_ids, assets)
-        regimes.append((t0, t0 + regime.duration, paths, acts.values))
+    for k, regime in enumerate(spec.regimes):
+        paths = _leaf_paths(regime.tree, regime.tree.node_ids, assets)
+        stream = _ActivationStream(regime.tree, regime.duration, (spec.seed, 2, k))
+        values = None if activations is None else activations[k]
+        regimes.append((t0, t0 + regime.duration, paths, stream, values))
         t0 += regime.duration
     for a, b in _row_blocks(spec.length):
         returns = np.empty((b - a, len(assets))) if out is None else out[a:b]
         np.matmul(eps_rng.standard_normal((b - a, len(assets))), transform, out=returns)
         if x is not None:
             returns *= x[a:b, None]
-        for start, end, paths, values in regimes:
+        for start, end, paths, stream, values in regimes:
             lo, hi = max(a, start), min(b, end)
             if lo < hi:
-                returns[lo - a : hi - a] *= _risk_factors(paths, values[:, lo - start : hi - start])
+                if values is None:
+                    block = np.empty((len(stream.probabilities), hi - lo), dtype=np.uint8)
+                else:
+                    block = values[:, lo - start : hi - start]
+                returns[lo - a : hi - a] *= _risk_factors(paths, stream.fill(block))
         yield returns
 
 
@@ -336,15 +359,18 @@ def simulate_returns(spec: DhmSpec) -> SimulationOutput:
     boundary. Noise and Y are built in row blocks, so memory beyond the
     returned arrays stays at about one block.
     """
-    # x and the activations first: their draws' temporaries are freed before the output exists
+    # x first: the temporaries of its circulant draw are freed before the output exists
     xi = _xi_path(spec)
     if xi is None:
         xi = np.zeros(spec.length)
     x = np.exp(xi)
-    activations = _regime_activations(spec)
+    activations = tuple(
+        Activations(r.tree.node_ids, np.empty((len(r.tree.node_ids), r.duration), dtype=np.uint8))
+        for r in spec.regimes
+    )
 
     values = np.empty((spec.length, spec.noise.n_assets))
-    for _ in _return_blocks(spec, x, activations, out=values):
+    for _ in _return_blocks(spec, x, out=values, activations=[a.values for a in activations]):
         pass
 
     return SimulationOutput(
@@ -385,14 +411,15 @@ def sample_correlation(spec: DhmSpec) -> np.ndarray:
     Each row block folds into a running count, mean and centred
     cross-product matrix C by the pairwise update of Chan, Golub & LeVeque
     (1983, Am. Stat. 37:242); the result is C / sqrt(outer(diag C, diag C)).
-    Memory is the uint8 activations, x when the volatility is on, and a few
-    blocks: no (length, assets) array is built. It agrees with np.corrcoef
-    of the whole panel to rounding, and a column with zero variance gives NaN.
+    Memory is x when the volatility is on and a few blocks of returns and
+    activations: no (length, assets) or (nodes, length) array is built. It
+    agrees with np.corrcoef of the whole panel to rounding, and a column
+    with zero variance gives NaN.
     """
     x = None if spec.logvol is None else np.exp(_xi_path(spec))
     n = spec.noise.n_assets
     count, mean, cross = 0, np.zeros(n), np.zeros((n, n))
-    for returns in _return_blocks(spec, x, _regime_activations(spec)):
+    for returns in _return_blocks(spec, x):
         rows = returns.shape[0]
         block_mean = returns.mean(axis=0)
         returns -= block_mean

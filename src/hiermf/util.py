@@ -128,6 +128,18 @@ def _quoted(text: str) -> str:
     return text
 
 
+def _csv_line(row: Sequence) -> str:
+    """One CSV line of `row`, line end included."""
+    if _NUMBER_TYPES.issuperset(map(type, row)):
+        cells = map(repr, row)  # repr of a Python int or float is already its cell
+    else:
+        cells = [
+            format_float(c) if isinstance(c, (float, np.floating)) else _quoted(str(c))
+            for c in row
+        ]
+    return ",".join(cells) + "\n"
+
+
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """CSV with "\n" line ends and round-trip floats (byte-stable by content).
 
@@ -138,13 +150,50 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             for row in itertools.chain([header], rows):
-                if _NUMBER_TYPES.issuperset(map(type, row)):
-                    cells = map(repr, row)  # repr of a Python int or float is already its cell
-                else:
-                    cells = [
-                        format_float(c) if isinstance(c, (float, np.floating)) else _quoted(str(c))
-                        for c in row
-                    ]
-                fh.write(",".join(cells) + "\n")
+                fh.write(_csv_line(row))
+    except OSError as exc:
+        raise _write_error(path, exc) from exc
+
+
+# rows of a digit table formatted at a time
+DIGIT_BLOCK_ROWS = 65_536
+
+
+def write_digit_csv(
+    path: str | os.PathLike, header: Sequence[str], first_index: int, digits: np.ndarray
+) -> None:
+    """The bytes of write_csv for rows [first_index + t, *digits[t]] of a table of digits 0-9.
+
+    Each line is built as ASCII in numpy: the row index, then "," and one
+    digit per column, then "\n". Rows go out in blocks of at most
+    DIGIT_BLOCK_ROWS whose indices share one width. A file that cannot be
+    written is a ValueError naming `path`.
+    """
+    digits = np.asarray(digits)
+    if digits.ndim != 2 or first_index < 0:
+        raise ValueError("a digit table is a 2-d array with a non-negative first index")
+    if not np.issubdtype(digits.dtype, np.integer) or (
+        digits.size and not (digits.min() >= 0 and digits.max() <= 9)
+    ):
+        raise ValueError("a digit table holds only the integers 0 to 9")
+    stop = first_index + digits.shape[0]
+    edges = sorted({
+        first_index, stop,
+        *range(first_index, stop, DIGIT_BLOCK_ROWS),
+        *(10**w for w in range(1, len(str(stop))) if first_index < 10**w < stop),
+    })
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_csv_line(header).encode("utf-8"))
+            for lo, hi in zip(edges, edges[1:]):
+                width = len(str(lo))
+                lines = np.empty((hi - lo, width + 2 * digits.shape[1] + 1), dtype=np.uint8)
+                index = np.arange(lo, hi)
+                for k in range(width):
+                    lines[:, width - 1 - k] = index // 10**k % 10 + ord("0")
+                lines[:, width:-1:2] = ord(",")
+                lines[:, width + 1 :: 2] = digits[lo - first_index : hi - first_index] + ord("0")
+                lines[:, -1] = ord("\n")
+                fh.write(lines.tobytes())
     except OSError as exc:
         raise _write_error(path, exc) from exc

@@ -15,11 +15,12 @@ import pytest
 
 from hiermf import analysis, cli, dependence, validation
 from hiermf.cli import main
-from hiermf.dhm import RiskTree, simulate_returns, DhmSpec, Regime, LogVolSpec
+from hiermf.dhm import RiskTree, simulate_returns, DhmSpec, Regime, LogVolSpec, load_dhm_config
 from hiermf.dependence import CorrelationMatrix, read_correlation_csv
 from hiermf.hierarchy import comb_tree, random_binary_tree, serialize_dendrogram
 from hiermf.market_data import WindowSpec
 from hiermf.scaling import delta_h, estimate_ghe
+from hiermf.util import write_csv
 from hiermf.validation import check_equivalence
 
 
@@ -202,6 +203,26 @@ def test_simulate_two_regime_full_span(tmp_path):
     rows = (out / "run_0000/returns.csv").read_text().splitlines()
     assert len(rows) == 4027
     assert (out / "run_0000/activations_regime_01.csv").exists()
+
+
+def test_simulate_activation_files_are_write_csv_of_the_draws(tmp_path):
+    """Each regime's table numbers its rows by the step; the second regime starts at 7."""
+    config = write_model_config(
+        tmp_path,
+        length=10_005,
+        regimes=[
+            {"tree": "tree.json", "duration": 7, "p_range": [0.4, 0.6]},
+            {"tree": "tree.json", "duration": 9_998, "p_range": [0.2, 0.8]},
+        ],
+    )
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    result = simulate_returns(load_dhm_config(config))
+    for k, (acts, start) in enumerate(zip(result.activations, result.regime_starts)):
+        expected = tmp_path / f"expected_{k}.csv"
+        write_csv(expected, ["t", *[f"node_{i}" for i in acts.node_ids]],
+                  ([start + t, *row] for t, row in enumerate(acts.values.T.tolist())))
+        written = tmp_path / f"out/run_0000/activations_regime_{k:02d}.csv"
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_simulate_requires_config(tmp_path):

@@ -568,6 +568,11 @@ def oracle_spec(length, n_regimes, logvol, n_leaves=6, seed=0):
 
 
 B = BLOCK_ROWS
+# The whole-panel comparisons run at and around multiples of SPAN, a whole
+# number of blocks, so each length sits on, one short of or one past a block
+# edge. SPAN is fixed so that their test ids do not move with the block size.
+SPAN = 65_536
+assert SPAN % B == 0
 
 
 @pytest.mark.parametrize(
@@ -577,14 +582,14 @@ B = BLOCK_ROWS
         (1, 1, True),
         (2, 2, False),
         (2, 1, True),
-        (B - 1, 3, True),
-        (B, 2, False),
-        (B + 1, 1, True),  # a 1-row tail would go through BLAS gemv
-        (B + 1, 3, False),
-        (B + 2, 2, True),
-        (2 * B - 1, 1, False),
-        (2 * B, 3, True),
-        (2 * B + 1, 2, True),
+        (SPAN - 1, 3, True),
+        (SPAN, 2, False),
+        (SPAN + 1, 1, True),  # a 1-row tail would go through BLAS gemv
+        (SPAN + 1, 3, False),
+        (SPAN + 2, 2, True),
+        (2 * SPAN - 1, 1, False),
+        (2 * SPAN, 3, True),
+        (2 * SPAN + 1, 2, True),
     ],
 )
 def test_block_simulator_is_bitwise_equal_to_oracle(length, n_regimes, logvol):
@@ -597,6 +602,27 @@ def test_block_simulator_is_bitwise_equal_to_oracle(length, n_regimes, logvol):
     assert len(out.activations) == len(activations)
     for acts, expected in zip(out.activations, activations):
         assert_bitwise(acts.values, expected)
+
+
+@pytest.mark.parametrize("length", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_block_activation_draws_concatenate_to_sample_activations(monkeypatch, length):
+    """The blocks sample_correlation draws are the whole-regime draw, cut at the block grid."""
+    spec = oracle_spec(length, min(length, 3), False)
+    blocks = {}  # activation stream -> its blocks, in regime order
+    fill = dhm._ActivationStream.fill
+
+    def recording_fill(stream, out):
+        blocks.setdefault(stream, []).append(fill(stream, out).copy())
+        return out
+
+    monkeypatch.setattr(dhm._ActivationStream, "fill", recording_fill)
+    with np.errstate(invalid="ignore"):  # one row has no variance
+        dhm.sample_correlation(spec)
+    assert len(blocks) == len(spec.regimes)
+    for k, (regime, drawn) in enumerate(zip(spec.regimes, blocks.values())):
+        assert all(block.shape[1] <= B for block in drawn)
+        expected = sample_activations(regime.tree, regime.duration, derived_rng(spec.seed, 2, k))
+        assert_bitwise(np.concatenate(drawn, axis=1), expected.values)
 
 
 def test_row_blocks_never_leave_a_single_row():
@@ -646,7 +672,7 @@ def test_simulator_peak_memory_with_the_volatility_on():
 
     Here the peak comes before any output array exists: the circulant draw of
     xi holds complex arrays of twice the length, which outweigh the retained
-    returns (49.9 MB against 21 MB for these 327,683 x 8 returns).
+    returns (a 12.6 MB peak against 5.2 MB for these 81,923 x 8 returns).
     """
     out, retained, peak = traced_simulation(oracle_spec(5 * B + 3, 2, True, n_leaves=8))
     assert out.returns.values.nbytes <= retained
@@ -702,7 +728,7 @@ def forbid_whole_panels(monkeypatch):
     "length, n_regimes, logvol",
     [
         (length, n_regimes, logvol)
-        for length in (2, B - 1, B, B + 1, 2 * B + 1)
+        for length in (2, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 1)
         for n_regimes in (1, 2, 3)
         if n_regimes <= length  # every regime needs a row
         for logvol in (False, True)
@@ -730,10 +756,12 @@ def test_sample_correlation_is_nan_for_a_zero_variance_column(monkeypatch):
 
 
 def test_sample_correlation_memory_does_not_grow_with_the_panel():
-    """From 2 to 10 blocks the traced peak grows by under a quarter of one returns array.
+    """From 2 to 10 blocks the traced peak grows by under 1/64 of one returns array.
 
-    What grows is the uint8 activations, one byte per node and step; np.corrcoef
-    of the whole panel grows by the returns and a centred copy.
+    Returns and activations are both drawn a block at a time, so nothing
+    length-sized is held; whole-regime uint8 activations grew by one byte per
+    node and step, and np.corrcoef of the whole panel grows by the returns and
+    a centred copy.
     """
     peaks = {}
     for blocks in (2, 10):
@@ -746,7 +774,7 @@ def test_sample_correlation_memory_does_not_grow_with_the_panel():
         finally:
             tracemalloc.stop()
     returns_growth = 8 * B * 16 * np.dtype(float).itemsize
-    assert peaks[10] - peaks[2] < returns_growth / 4
+    assert peaks[10] - peaks[2] < returns_growth / 64
 
 
 # --- probability assignment and config loading ---

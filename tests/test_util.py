@@ -71,11 +71,42 @@ def test_write_csv_cells(tmp_path):
         assert [len(row) for row in csv.reader(fh)] == [3] * 5
 
 
+@pytest.mark.parametrize(
+    "first_index, rows, columns",
+    [
+        (0, 0, 3),
+        (0, 1, 0),
+        (5, 10, 15),  # index widths 1 and 2
+        (0, util.DIGIT_BLOCK_ROWS + 1, 2),
+        (99_990, util.DIGIT_BLOCK_ROWS + 20, 4),  # a width change and a block edge
+    ],
+)
+def test_write_digit_csv_is_write_csv_of_the_rows(tmp_path, first_index, rows, columns):
+    digits = np.random.default_rng(rows).integers(0, 10, (rows, columns), dtype=np.uint8)
+    header = ["t", *[f"node_{i}" for i in range(columns)]]
+    util.write_csv(tmp_path / "rows.csv", header,
+                   ([first_index + t, *row] for t, row in enumerate(digits.tolist())))
+    util.write_digit_csv(tmp_path / "table.csv", header, first_index, digits)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "first_index, digits",
+    [(0, np.array([[10]], dtype=np.uint8)), (0, np.array([[-1]])), (0, np.array([[0.5]])),
+     (0, np.zeros(3, dtype=np.uint8)), (-1, np.zeros((1, 1), dtype=np.uint8))],
+)
+def test_write_digit_csv_rejects_what_is_not_a_digit_table(tmp_path, first_index, digits):
+    with pytest.raises(ValueError, match="digit table"):
+        util.write_digit_csv(tmp_path / "out.csv", ["t", "a"], first_index, digits)
+
+
 def test_writers_name_a_file_they_cannot_write(tmp_path):
     missing = tmp_path / "no-such-dir" / "out.csv"
     reason = os.strerror(errno.ENOENT)
     with pytest.raises(ValueError, match=f"^cannot write {missing}: {reason}$"):
         util.write_csv(missing, ["a"], [[1]])
+    with pytest.raises(ValueError, match=f"^cannot write {missing}: {reason}$"):
+        util.write_digit_csv(missing, ["t", "a"], 0, np.zeros((1, 1), dtype=np.uint8))
     with pytest.raises(ValueError, match=f"^cannot write {missing}: {reason}$"):
         util.write_json_atomic(missing, {"a": 1})
     blocked = tmp_path / "blocked"
