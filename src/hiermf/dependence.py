@@ -7,7 +7,6 @@ defaults to a third of the window length.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import input_lines, write_csv
+from hiermf.util import csv_rows, input_lines, write_csv
 
 __all__ = [
     "WeightScheme",
@@ -329,9 +328,10 @@ def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]
     """Labels and values of a labeled square CSV; each row label must match its column.
 
     Blank lines are skipped. A row with the wrong number of cells, or a cell
-    that is not a number, is an error naming the file and the row label.
+    that is not a number, is an error naming the file and the row label; a
+    line csv.reader cannot read is one naming the file and the line.
     """
-    rows = list(filter(None, csv.reader(input_lines(path))))
+    rows = [row for _, row in csv_rows(input_lines(path), path) if row]
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: not a labeled correlation CSV")
     assets = tuple(rows[0][1:])

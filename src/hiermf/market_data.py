@@ -12,13 +12,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from hiermf.util import input_lines
+from hiermf.util import csv_rows, input_lines
 
-# rows parsed at a time: a load holds the price array plus one block's cell strings
+# rows parsed at a time: a load holds the price array plus about two blocks
 LOAD_BLOCK_ROWS = 256
 
 __all__ = [
@@ -197,13 +197,16 @@ def load_prices_csv(
     `CsvSchema.price_columns`, reads the last column of that name. Line
     numbers in errors are physical lines of the file.
 
-    The file is read once and parsed every LOAD_BLOCK_ROWS kept rows, so a
-    load holds the price array plus one block's cell strings.
+    The file is read once and parsed every LOAD_BLOCK_ROWS kept rows into
+    one price array that grows in place, so a load holds the price array
+    plus the lines and prices of about two blocks. A block of plain lines
+    goes through np.loadtxt (see `_parse_lines`); from the first line that
+    is not plain, csv.reader reads the rest of the file.
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    reader = csv.reader(input_lines(path), delimiter=schema.delimiter)
-    header = next(reader, None)
+    lines = input_lines(path)
+    number, header = next(csv_rows(lines, path, delimiter=schema.delimiter), (0, None))
     if header is None or schema.date_column not in header:
         raise ValueError(f"{path}: missing date column {schema.date_column!r}")
     tickers = list(schema.price_columns or [c for c in header if c != schema.date_column])
@@ -217,28 +220,26 @@ def load_prices_csv(
         raise ValueError(f"{path}: duplicate price column {dup!r}")
     # the last column of a repeated name wins
     position = {name: j for j, name in enumerate(header)}
-    picked = [position[schema.date_column], *(position[t] for t in tickers)]
-    pick, width = operator.itemgetter(*picked), 1 + max(picked)
-    # parse every LOAD_BLOCK_ROWS kept rows, so only one block's cell strings are alive
-    rows, lines, dates, blocks = [], [], [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            # the physical line each kept row ends on, for error messages
-            lines.append(reader.line_num)
-            if len(rows) == LOAD_BLOCK_ROWS:
-                blocks.append(_parse_block(rows, width, pick, dates))
-                rows = []
-    if rows:
-        blocks.append(_parse_block(rows, width, pick, dates))
-        del rows
-    if not blocks:
+    columns = _Columns(
+        schema.delimiter, position[schema.date_column], tuple(position[t] for t in tickers)
+    )
+    prices = np.empty((0, len(tickers)))
+    dates, ends = [], []
+    for block, block_ends in _blocks(lines, path, number, schema.delimiter):
+        if isinstance(block[0], str):
+            values = _parse_lines(block, columns, dates)
+        else:
+            values = _parse_block(block, columns, dates)
+        # fill one array in place, so no second copy of the prices is ever made
+        n = len(prices)
+        prices.resize((n + len(values), len(tickers)), refcheck=False)
+        prices[n:] = values
+        ends += block_ends
+    if not dates:
         raise ValueError(f"{path}: no data rows")
 
     dates = tuple(dates)
-    _check_dates(path, dates, lines)
-    prices = np.concatenate(blocks)
-    del blocks
+    _check_dates(path, dates, ends)
     valid = _valid(prices)
     prices[~valid] = math.nan
     kept = np.count_nonzero(valid, axis=0)
@@ -255,17 +256,128 @@ def _valid(prices: np.ndarray) -> np.ndarray:
     return (prices > 0) & (prices < math.inf)
 
 
-def _parse_block(
-    rows: list[list[str]], width: int, pick: operator.itemgetter, dates: list[str]
-) -> np.ndarray:
+@dataclass(frozen=True)
+class _Columns:
+    """Where a row's cells sit: the delimiter, the date's position and each ticker's."""
+
+    delimiter: str
+    date: int
+    tickers: tuple[int, ...]
+
+
+def _blocks(
+    lines: Iterator[str], path: Path, number: int, delimiter: str
+) -> Iterator[tuple[list, list[int]]]:
+    """Blocks of at most LOAD_BLOCK_ROWS kept rows of `lines`, with the physical line each ends on.
+
+    `number` lines of the file come before `lines`. A blank line is skipped.
+    While lines are plain, a block is a list of lines: a plain line holds no
+    quote and no NUL and is shorter than csv.field_size_limit(), so its
+    cells are exactly what `str.split` gives. A quoted cell may span lines,
+    so the first line that is not plain hands itself and the rest of the
+    file to csv.reader, and from there a block is a list of cell lists.
+    """
+    limit = csv.field_size_limit()
+    block, ends = [], []
+    for line in lines:
+        number += 1
+        if '"' in line or "\0" in line or len(line) >= limit:
+            break
+        if line[0] not in "\r\n":
+            block.append(line)
+            ends.append(number)
+            if len(block) == LOAD_BLOCK_ROWS:
+                yield block, ends
+                block, ends = [], []
+    else:
+        if block:
+            yield block, ends
+        return
+    if block:
+        yield block, ends
+    block, ends = [], []
+    for end, row in csv_rows(itertools.chain([line], lines), path, number - 1, delimiter):
+        if row:
+            block.append(row)
+            ends.append(end)
+            if len(block) == LOAD_BLOCK_ROWS:
+                yield block, ends
+                block, ends = [], []
+    if block:
+        yield block, ends
+
+
+def _parse_lines(lines: list[str], columns: _Columns, dates: list[str]) -> np.ndarray:
+    """Prices of a block of plain lines, as (rows x tickers); appends the rows' dates to `dates`.
+
+    np.loadtxt parses every ticker cell with the routine float() uses, and
+    rejects every cell that float() would read differently after stripping
+    whitespace. Blank cells are written as NaN first. A block that loadtxt
+    rejects, or with a row short of its date cell, goes through
+    `_parse_block`, which gives the same values as float() cell by cell.
+    """
+    d, at = columns.delimiter, columns.date
+    try:
+        block_dates = [line.split(d, at + 1)[at].strip() for line in lines]
+        values = np.loadtxt(
+            _blank_cells_filled(lines, d), delimiter=d, usecols=columns.tickers,
+            comments=None, quotechar=None, ndmin=2,
+        )
+    except (IndexError, ValueError):
+        return _parse_block([line.split(d) for line in lines], columns, dates)
+    dates += block_dates
+    return values
+
+
+def _blank_cells_filled(lines: list[str], delimiter: str) -> list[str]:
+    """`lines`, or if a cell is empty, the block's rows with every empty cell written as NaN.
+
+    NaN is what float() makes of a blank cell.
+    """
+    d = delimiter
+    if not _has_empty_cell(lines, d):
+        return lines
+    nan = "NAN" if d in "nan" else "nan"  # a filler that holds no delimiter
+    filled = []
+    for line in lines:
+        # the first pass fills every other cell of a run of empty cells
+        row = line.rstrip("\r\n").replace(d + d, d + nan + d).replace(d + d, d + nan + d)
+        if row[0] == d:
+            row = nan + row
+        if row[-1] == d:
+            row += nan
+        filled.append(row)
+    return filled
+
+
+def _has_empty_cell(lines: list[str], delimiter: str) -> bool:
+    """True if a row of `lines` has an empty cell.
+
+    Each line ends in its only line break, or is the file's last line, so no
+    two lines join into an empty cell.
+    """
+    d = delimiter
+    # an ASCII character's byte occurs in no other character's UTF-8 form
+    encoding, dtype = ("utf-8", np.uint8) if d.isascii() else ("utf-32-le", np.uint32)
+    is_delimiter = np.frombuffer("".join(lines).encode(encoding), dtype) == ord(d)
+    last_cell_empty = (d, d + "\n", d + "\r", d + "\r\n")
+    return bool(np.any(is_delimiter[:-1] & is_delimiter[1:])) or any(
+        line[0] == d or line.endswith(last_cell_empty) for line in lines
+    )
+
+
+def _parse_block(rows: list[list[str]], columns: _Columns, dates: list[str]) -> np.ndarray:
     """Prices of a block of rows, as (rows x tickers); appends the rows' dates to `dates`.
 
-    `pick` selects the date cell and then each ticker's cell of a row. A short
-    row reads as blank cells, and a blank cell is NaN. float() parses the rest,
-    and only a block holding a cell that float() rejects goes cell by cell.
+    A row's cells are picked as its date and then each ticker's. A short
+    row reads as blank cells, and a blank cell is NaN. float() parses the
+    rest, and only a block holding a cell that float() rejects goes cell by
+    cell.
     """
+    width = 1 + max(columns.date, *columns.tickers)
     if min(map(len, rows)) < width:
         rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
+    pick = operator.itemgetter(columns.date, *columns.tickers)
     cells = list(map(str.strip, itertools.chain.from_iterable(map(pick, rows))))
     stride = len(cells) // len(rows)  # the date cell and each ticker's
     dates += cells[::stride]

@@ -3,6 +3,7 @@ config numbers, the one input reader, atomic writes."""
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import os
@@ -80,6 +81,23 @@ def input_lines(path: str | os.PathLike) -> Iterator[str]:
             yield from fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not utf-8 text ({exc.reason})") from exc
+
+
+def csv_rows(
+    lines: Iterable[str], path: str | os.PathLike, offset: int = 0, delimiter: str = ","
+) -> Iterator[tuple[int, list[str]]]:
+    """csv.reader's rows of `lines`, each with the physical line of `path` it ends on.
+
+    `offset` is the number of lines of the file before `lines`. A csv.Error,
+    such as a cell longer than csv.field_size_limit(), is a ValueError naming
+    `path` and the line.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        for row in reader:
+            yield offset + reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{offset + reader.line_num}: {exc}") from None
 
 
 def checked_int(value: Any, name: str, minimum: int | None = None) -> int:

@@ -524,6 +524,38 @@ def test_non_utf8_price_file_names_the_file(tmp_path, capsys):
     assert str(data) in err and "utf-8" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "rolling"])
+def test_a_price_cell_over_the_csv_field_limit_names_file_and_line(tmp_path, capsys, command):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data, n_assets=3, length=60)
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "1" * (csv.field_size_limit() + 1)
+    lines[5] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == f"error: {data}:6: field larger than field limit ({limit})\n"
+
+
+def test_a_noise_cell_over_the_csv_field_limit_names_file_and_line(tmp_path, capsys):
+    config = write_model_config(tmp_path, n_leaves=3)
+    labels = ["A00", "A01", "A02"]
+    lines = ["," + ",".join(labels)]
+    for label, row in zip(labels, np.full((3, 3), 0.3) + 0.7 * np.eye(3)):
+        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
+    lines[2] += "0" * csv.field_size_limit()
+    (tmp_path / "noise.csv").write_text("\n".join(lines) + "\n")
+    payload = json.loads(config.read_text())
+    payload["noise"] = {"file": "noise.csv"}
+    config.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    noise, limit = tmp_path.resolve() / "noise.csv", csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"error: bad model spec: {noise}:3: field larger than field limit ({limit})\n"
+    )
+
+
 def test_analyze_threshold_filters_everything(tmp_path):
     data = tmp_path / "prices.csv"
     write_price_csv(data)  # random walks are uniscaling, high cutoff drops them

@@ -606,6 +606,91 @@ def test_blank_and_padded_cells_skip_the_per_cell_parse(tmp_path, monkeypatch):
     assert math.isnan(panel.prices[1, 0])
 
 
+def test_load_peak_is_the_price_array_plus_about_two_blocks(tmp_path):
+    # 10 blocks of 200 tickers: the price array is 3 blocks, so a second copy of it breaks the bound
+    n_rows, n_tickers = 10 * BLOCK, 200
+    f = tmp_path / "long.csv"
+    write_gappy_panel(f, n_rows=n_rows, n_tickers=n_tickers, seed=2, edit=_scattered_bad_cells)
+    tracemalloc.start()
+    try:
+        panel, _ = load_prices_csv(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block: LOAD_BLOCK_ROWS lines of the file and their parsed prices
+    block = BLOCK * (f.stat().st_size / (n_rows + 1) + 8 * n_tickers)
+    assert panel.prices.nbytes > 3 * block
+    assert peak <= panel.prices.nbytes + 2.5 * block
+
+
+def parser_calls(monkeypatch):
+    """Records of which parser read each block: loadtxt's and _parse_block's row counts."""
+    calls = {"loadtxt": [], "loadtxt_failed": [], "parse_block": []}
+    loadtxt, parse_block = np.loadtxt, market_data._parse_block
+
+    def record_loadtxt(lines, *args, **kwargs):
+        try:
+            values = loadtxt(lines, *args, **kwargs)
+        except ValueError:
+            calls["loadtxt_failed"].append(len(lines))
+            raise
+        calls["loadtxt"].append(len(values))
+        return values
+
+    def record_parse_block(rows, *args):
+        calls["parse_block"].append(len(rows))
+        return parse_block(rows, *args)
+
+    monkeypatch.setattr(market_data.np, "loadtxt", record_loadtxt)
+    monkeypatch.setattr(market_data, "_parse_block", record_parse_block)
+    return calls
+
+
+def test_blank_cells_and_line_ends_keep_blocks_on_loadtxt(tmp_path, monkeypatch):
+    calls = parser_calls(monkeypatch)
+    f = tmp_path / "p.csv"
+    write_gappy_panel(f, n_rows=2 * BLOCK + 1, seed=3, edit=_all_of_them)
+    f.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+    panel, report = load_prices_csv(f)
+    assert calls == {"loadtxt": [BLOCK, BLOCK, 1], "loadtxt_failed": [], "parse_block": []}
+    assert sum(report.drop_counts.values()) == np.count_nonzero(np.isnan(panel.prices)) > 0
+    assert_loader_matches_reference(f)
+
+
+def test_a_rejected_block_alone_goes_cell_by_cell(tmp_path, monkeypatch):
+    calls = parser_calls(monkeypatch)
+    rows = [f"{10000 + t},{100 + t}.5,{200 - t / 8!r}" for t in range(2 * BLOCK + 1)]
+    rows[BLOCK + 3] = f"{10000 + BLOCK + 3},N/A,  "  # junk and an all-space cell in block 2
+    f = tmp_path / "p.csv"
+    f.write_text("date,A,B\n" + "\n".join(rows) + "\n")
+    panel, report = load_prices_csv(f)
+    assert calls == {"loadtxt": [BLOCK, 1], "loadtxt_failed": [BLOCK], "parse_block": [BLOCK]}
+    assert report.drop_counts == {"A": 1, "B": 1}
+    assert_loader_matches_reference(f)
+
+
+def test_the_first_quote_hands_the_rest_of_the_file_to_csv_reader(tmp_path, monkeypatch):
+    calls = parser_calls(monkeypatch)
+    rows = [f"{10000 + t},{100 + t}.5,{200 - t / 8!r}" for t in range(2 * BLOCK + 1)]
+    rows[BLOCK // 2] = f'{10000 + BLOCK // 2},"1,5","7\n.5"'  # a cell over two lines
+    f = tmp_path / "p.csv"
+    f.write_text("date,A,B\n" + "\n".join(rows) + "\n")
+    panel, report = load_prices_csv(f)
+    assert calls == {"loadtxt": [BLOCK // 2], "loadtxt_failed": [],
+                     "parse_block": [BLOCK, BLOCK // 2 + 1]}
+    assert report.drop_counts == {"A": 1, "B": 1}
+    assert_loader_matches_reference(f)
+
+
+def test_a_cell_over_the_csv_field_limit_names_the_file_and_line(tmp_path):
+    f = tmp_path / "p.csv"
+    big = "1" * (csv.field_size_limit() + 1)
+    f.write_text(f"date,A\n\n10000,1\n10001,{big}\n10002,3\n")
+    with pytest.raises(ValueError) as info:
+        load_prices_csv(f)
+    assert str(info.value) == f"{f}:4: field larger than field limit ({csv.field_size_limit()})"
+
+
 # --- domain type validation ---
 
 
