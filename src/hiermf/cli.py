@@ -37,8 +37,8 @@ from hiermf.util import (
     input_lines,
     parallel_map,
     write_csv,
-    write_digit_csv,
     write_json_atomic,
+    write_table_csv,
 )
 from hiermf.validation import check_equivalence, check_median_shift, check_tau_dispersion
 
@@ -260,13 +260,10 @@ def _simulate_one(item: tuple[int, dhm_mod.DhmSpec], out_dir: str) -> str:
     result = dhm_mod.simulate_returns(spec)
     run_dir = Path(out_dir) / f"run_{run_index:04d}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        run_dir / "returns.csv",
-        ["t", *result.returns.assets],
-        ([t, *row.tolist()] for t, row in zip(result.returns.times, result.returns.values)),
-    )
+    # simulate_returns numbers the steps range(spec.length)
+    write_table_csv(run_dir / "returns.csv", ["t", *result.returns.assets], 0, result.returns.values)
     for k, acts in enumerate(result.activations):
-        write_digit_csv(
+        write_table_csv(
             run_dir / f"activations_regime_{k:02d}.csv",
             ["t", *[f"node_{i}" for i in acts.node_ids]],
             result.regime_starts[k],

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from hiermf.market_data import ReturnsPanel
-from hiermf.util import csv_rows, input_lines, write_csv
+from hiermf.util import csv_rows, input_lines, write_table_csv
 
 __all__ = [
     "WeightScheme",
@@ -317,11 +317,7 @@ def corr_to_distance(matrix: CorrelationMatrix) -> np.ndarray:
 
 def write_correlation_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
     """Labeled square CSV: header row of assets, one labeled row per asset."""
-    write_csv(
-        path,
-        ["", *matrix.assets],
-        ([label, *row.tolist()] for label, row in zip(matrix.assets, matrix.values)),
-    )
+    write_table_csv(path, ["", *matrix.assets], matrix.assets, matrix.values)
 
 
 def _read_labeled_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -498,6 +499,20 @@ def test_analyze_pipeline(tmp_path):
     assert (out / "tree.json").exists()
     meta = json.loads((out / "correlation.meta.json").read_text())
     assert meta["theta"] == pytest.approx(599 / 3, rel=1e-9)
+
+
+def test_json_outputs_get_the_mode_of_csv_outputs(tmp_path):
+    data = tmp_path / "prices.csv"
+    write_price_csv(data)
+    out = tmp_path / "out"
+    umask = os.umask(0o022)
+    try:
+        assert main(["analyze", "--data", str(data), "--threshold", "0", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    modes = {name: stat.S_IMODE((out / name).stat().st_mode)
+             for name in ("manifest.json", "tree.json", "per_asset.csv")}
+    assert modes == dict.fromkeys(modes, 0o644)
 
 
 def test_analyze_quotes_a_ticker_that_holds_a_comma(tmp_path):
