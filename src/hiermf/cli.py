@@ -33,7 +33,6 @@ from hiermf.util import (
     checked_int,
     checked_number,
     checked_type,
-    format_float,
     input_lines,
     parallel_map,
     write_csv,
@@ -380,7 +379,7 @@ def cmd_calibrate(settings: Settings, manifest: Manifest) -> int:
     )
     manifest.stage("calibrate")
     write_json_atomic(manifest.record("threshold.json"), calibration.to_json())
-    print(f"threshold = {format_float(calibration.threshold)}")
+    print(f"threshold = {calibration.threshold!r}")
     return 0
 
 

@@ -11,7 +11,6 @@ import os
 import re
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,6 +43,9 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int = 1) 
     workers = min(jobs, len(items), available_cpus() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here, so that a process that never starts a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -141,12 +143,6 @@ def checked_type(value: Any, kinds, name: str, expected: str) -> Any:
     return value
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form, stable across runs."""
-    return repr(float(x))
-
-
-_NUMBER_TYPES = frozenset((int, float))
 _NEEDS_QUOTES = re.compile(r'[",\r\n]')
 
 
@@ -157,40 +153,18 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _csv_line(row: Sequence) -> str:
-    """One CSV line of `row`, line end included."""
-    if _NUMBER_TYPES.issuperset(map(type, row)):
-        cells = map(repr, row)  # repr of a Python int or float is already its cell
-    else:
-        cells = [
-            format_float(c) if isinstance(c, (float, np.floating)) else _quoted(str(c))
-            for c in row
-        ]
-    return ",".join(cells) + "\n"
-
-
-def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with "\n" line ends and round-trip floats (byte-stable by content).
-
-    A cell holding a comma, a quote or a line break is quoted, as csv's
-    minimal quoting does, so csv.reader reads every row back whole. A file
-    that cannot be written is a ValueError naming `path`.
-    """
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for row in itertools.chain([header], rows):
-                fh.write(_csv_line(row))
-    except OSError as exc:
-        raise _write_error(path, exc) from exc
-
-
 # Float cells in numpy: Schubfach's shortest round-trip decimal (R. Giulietti, "The
 # Schubfach way to render doubles", 2020, as in Java's DoubleToDecimal), laid out as
 # Python's repr. Java also tries two digits where one would do; repr does not, so
 # here the shorter candidate is always tried and no subnormal is scaled up.
 _U64 = np.uint64
-_MASK32 = _U64(2**32 - 1)
-_MASK63 = _U64(2**63 - 1)
+# the uint64 constants of the kernels as 0-d arrays, which a ufunc takes about twice as
+# fast as numpy scalars, so a call on a few values costs less
+_UINT = {
+    v: np.array(v, dtype=_U64) for v in (0, 1, 2, 10, 32, 52, 63, 0x7FF, 10**8, 2**52 - 1, 2**52, 10**16)
+}
+_MASK32 = np.array(2**32 - 1, dtype=_U64)
+_MASK63 = np.array(2**63 - 1, dtype=_U64)
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the table below
 
 
@@ -214,31 +188,31 @@ _G1, _G0 = _power_table()
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return x >> _U64(32), x & _MASK32
+    return x >> _UINT[32], x & _MASK32
 
 
 def _mulhi(a: tuple, b: tuple) -> np.ndarray:
     """The high 64 bits of the 128-bit products of uint64 arrays given as 32-bit halves."""
     (a1, a0), (b1, b0) = a, b
-    t = a1 * b0 + ((a0 * b0) >> _U64(32))
+    t = a1 * b0 + ((a0 * b0) >> _UINT[32])
     w = (t & _MASK32) + a0 * b1
-    return a1 * b1 + (t >> _U64(32)) + (w >> _U64(32))
+    return a1 * b1 + (t >> _UINT[32]) + (w >> _UINT[32])
 
 
 def _round_to_odd(g1: np.ndarray, g: tuple, cp: np.ndarray) -> np.ndarray:
     """floor(g * cp / 2**127), its lowest bit set when the division is inexact."""
     halves = _halves(cp)
-    z = ((g1 * cp) >> _U64(1)) + _mulhi(g[1], halves)
-    return (_mulhi(g[0], halves) + (z >> _U64(63))) | (((z & _MASK63) + _MASK63) >> _U64(63))
+    z = ((g1 * cp) >> _UINT[1]) + _mulhi(g[1], halves)
+    return (_mulhi(g[0], halves) + (z >> _UINT[63])) | (((z & _MASK63) + _MASK63) >> _UINT[63])
 
 
 def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, k), uint64 and int64, with f * 10**k the decimal repr gives each finite nonzero
     double of `bits`, its sign dropped; f may end in zeros. Other doubles give garbage."""
-    biased = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
-    fraction = bits & _U64(2**52 - 1)
+    biased = ((bits >> _UINT[52]) & _UINT[0x7FF]).astype(np.int64)
+    fraction = bits & _UINT[2**52 - 1]
     normal = biased != 0
-    c = np.where(normal, fraction | _U64(2**52), fraction)
+    c = np.where(normal, fraction | _UINT[2**52], fraction)
     q = np.where(normal, biased - 1075, -1074)  # the double is c * 2**q
     # at a power of two the next double down is half as far as the next one up
     irregular = normal & (fraction == 0) & (biased > 1)
@@ -248,23 +222,23 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = (_halves(g1), _halves(_G0[k - _K_MIN]))
     # vb, vbl, vbr: 4 * (the double, the lower and the upper rounding bound) / 10**k;
     # a double with an even c rounds its bounds to itself, so they count as inside
-    odd = c & _U64(1)
-    cb = c << _U64(2)
+    odd = c & _UINT[1]
+    cb = c << _UINT[2]
     vb = _round_to_odd(g1, g, cb << h)
-    vbl = _round_to_odd(g1, g, (cb - np.where(irregular, _U64(1), _U64(2))) << h) + odd
-    vbr = _round_to_odd(g1, g, (cb + _U64(2)) << h) - odd
-    s = vb >> _U64(2)
+    vbl = _round_to_odd(g1, g, (cb - np.where(irregular, _UINT[1], _UINT[2])) << h) + odd
+    vbr = _round_to_odd(g1, g, (cb + _UINT[2]) << h) - odd
+    s = vb >> _UINT[2]
     # one digit fewer: whichever of the two multiples of 10 around s lies within the bounds
-    u10 = s // _U64(10) * _U64(10)
-    u10_in = vbl <= u10 << _U64(2)
-    w10_in = (u10 + _U64(10)) << _U64(2) <= vbr
-    t = s + _U64(1)
-    u_in = vbl <= s << _U64(2)
-    w_in = t << _U64(2) <= vbr
+    u10 = s // _UINT[10] * _UINT[10]
+    u10_in = vbl <= u10 << _UINT[2]
+    w10_in = (u10 + _UINT[10]) << _UINT[2] <= vbr
+    t = s + _UINT[1]
+    u_in = vbl <= s << _UINT[2]
+    w_in = t << _UINT[2] <= vbr
     # both s and t within the bounds: the closer one, the even one on a tie
-    closer = vb.astype(np.int64) - ((s + t) << _U64(1)).astype(np.int64)
-    pick_s = np.where(u_in != w_in, u_in, (closer < 0) | ((closer == 0) & (s & _U64(1) == 0)))
-    f = np.where(u10_in != w10_in, np.where(u10_in, u10, u10 + _U64(10)), np.where(pick_s, s, t))
+    closer = vb.astype(np.int64) - ((s + t) << _UINT[1]).astype(np.int64)
+    pick_s = np.where(u_in != w_in, u_in, (closer < 0) | ((closer == 0) & (s & _UINT[1] == 0)))
+    f = np.where(u10_in != w10_in, np.where(u10_in, u10, u10 + _UINT[10]), np.where(pick_s, s, t))
     return f, k
 
 
@@ -312,10 +286,10 @@ def _float_cells(x: np.ndarray, lead: int) -> np.ndarray:
     f[~finite_nonzero] = 0
     length = np.searchsorted(_POW10, f, side="right")  # digits of f
     digits17 = f * _POW10[17 - length]
-    first = digits17 // _U64(10**16)
-    rest = digits17 - first * _U64(10**16)
-    high = (rest // _U64(10**8)).astype(np.int64)
-    low = (rest - high.astype(_U64) * _U64(10**8)).astype(np.int64)
+    first = digits17 // _UINT[10**16]
+    rest = digits17 - first * _UINT[10**16]
+    high = (rest // _UINT[10**8]).astype(np.int64)
+    low = (rest - high.astype(_U64) * _UINT[10**8]).astype(np.int64)
     groups = np.empty((n, 4), dtype=np.int64)
     np.divmod(high, 10_000, out=(groups[:, 0], groups[:, 1]))
     np.divmod(low, 10_000, out=(groups[:, 2], groups[:, 3]))
@@ -345,7 +319,7 @@ def _float_cells(x: np.ndarray, lead: int) -> np.ndarray:
     cells.reshape(-1)[np.arange(6, n * FLOAT_CELL_BYTES, FLOAT_CELL_BYTES) + 2 * point_after] = (
         np.where(point_after > 0, ord("."), 0)
     )
-    cells[:, 1:7] = _PREFIX[(bits >> _U64(63)).astype(np.intp) * 5 + np.where(fraction, 1 - point, 0)]
+    cells[:, 1:7] = _PREFIX[(bits >> _UINT[63]).astype(np.intp) * 5 + np.where(fraction, 1 - point, 0)]
     rows = np.flatnonzero(scientific)
     cells[rows, 40:] = _EXPONENT[point[rows] - 1 - _E_MIN]
     rows = np.flatnonzero(~np.isfinite(x))
@@ -374,30 +348,169 @@ def _int_cells(x: np.ndarray, lead: int, width: int) -> np.ndarray:
     cells[:, 0] = lead
     magnitude = x.astype(_U64)
     negative = x < 0  # none for an unsigned x
-    magnitude[negative] = _U64(0) - magnitude[negative]
+    magnitude[negative] = _UINT[0] - magnitude[negative]
     for j in range(width):
-        digit = (magnitude % _U64(10)).astype(np.uint8) + ord("0")
+        digit = (magnitude % _UINT[10]).astype(np.uint8) + ord("0")
         cells[:, width - j] = digit if j == 0 else np.where(magnitude != 0, digit, 0)
-        magnitude //= _U64(10)
+        magnitude //= _UINT[10]
     cells[negative, 1] = ord("-")  # a negative number has fewer than `width` digits
     return cells
 
 
 # a row block's NUL-padded text stays below this many bytes
 TABLE_BLOCK_BYTES = 1 << 18
+_FLOATS = (float, np.floating)
+_LABEL_SLOTS = np.array([ord(","), ord("\n")], dtype=np.uint8)
+_LINE_END = np.array([ord("\n")], dtype=np.uint8)
+
+
+def _label_texts(cells: Sequence) -> list[bytes]:
+    """Each cell's text for joining in around the NUL buffer: repr(float(c)) from _float_cells
+    for a float or np.floating, _quoted(str(c)) for anything else."""
+    texts = [None if isinstance(c, _FLOATS) else _quoted(str(c)).encode("utf-8") for c in cells]
+    at = [i for i, text in enumerate(texts) if text is None]
+    if at:
+        floats = _float_cells(np.array([cells[i] for i in at], dtype=np.float64), ord(","))
+        for i, text in zip(at, floats.tobytes().translate(None, b"\0").split(b",")[1:]):
+            texts[i] = text
+    return texts
+
+
+def _block_lines(n_rows: int, columns: Sequence) -> bytes:
+    """The CSV lines of `n_rows` rows from their columns in order: uint8 arrays of `n_rows`
+    rows of number cells as _float_cells and _int_cells lay them out, each led by a comma,
+    and lists of label texts, one per row.
+
+    Each label takes two slots of the NUL-padded buffer, a comma and a line break that
+    marks its place; bytes.translate drops the NULs, and the labels are joined in at the
+    marks, so they never pass through the buffer.
+    """
+    slots, labels = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            slots.append(column)
+        else:
+            slots.append(np.broadcast_to(_LABEL_SLOTS, (n_rows, 2)))
+            labels.append(column)
+    lines = np.concatenate([*slots, np.broadcast_to(_LINE_END, (n_rows, 1))], axis=1)
+    if columns:
+        lines[:, 0] = 0  # a row's first cell has no comma before it
+    text = lines.tobytes().translate(None, b"\0")
+    if not labels:
+        return text
+    # per row: numbers, label, numbers, ..., label, numbers, each piece ended by a line break
+    step = len(labels) + 1
+    numbers = text.split(b"\n")
+    pieces = [b"\n"] * (2 * step * n_rows)
+    for k in range(step):
+        pieces[2 * k :: 2 * step] = numbers[k : -1 : step]
+    for k, label in enumerate(labels):
+        pieces[2 * k + 1 :: 2 * step] = label
+    return b"".join(pieces)
+
+
+@functools.lru_cache(maxsize=64)
+def _signature_kinds(signatures: frozenset) -> tuple:
+    """For rows whose cell types are the tuples `signatures`, each column's kind: np.float64
+    if all its types are float or np.floating, np.int64 if all are int or np.integer (bool
+    is neither), else None, a column of labels."""
+    kinds = []
+    for types in zip(*signatures):
+        if all(issubclass(t, _FLOATS) for t in types):
+            kinds.append(np.float64)
+        elif all(t is int or issubclass(t, np.integer) for t in types):
+            kinds.append(np.int64)
+        else:
+            kinds.append(None)
+    return tuple(kinds)
+
+
+def _typed_columns(rows: list) -> list:
+    """The columns of equal-length `rows` for _block_lines, each run of adjacent columns of
+    one kind as one array; one _float_cells call formats all the float columns and one
+    _int_cells call all the int columns. An int column is labels unless all of it fits int64."""
+    cells = list(zip(*rows))
+    kinds = list(_signature_kinds(frozenset(tuple(map(type, row)) for row in rows)))
+    for j, kind in enumerate(kinds):
+        if kind is np.int64:
+            ints = list(map(int, cells[j]))
+            if not -(2**63) <= min(ints) <= max(ints) < 2**63:
+                kinds[j] = None
+    formatted = {}
+    for kind in (np.float64, np.int64):
+        numbers = np.array([c for c, k in zip(cells, kinds) if k is kind], dtype=kind).T
+        if numbers.size:
+            if kind is np.float64:
+                numbers = _float_cells(numbers, ord(","))
+            else:
+                numbers = _int_cells(numbers, ord(","), _int_width(numbers))
+            formatted[kind] = numbers.reshape(len(rows), -1, numbers.shape[1])
+    columns, used = [], dict.fromkeys(formatted, 0)
+    for kind, group in itertools.groupby(zip(kinds, cells), key=lambda pair: pair[0]):
+        group = [column for _, column in group]
+        if kind is None:
+            columns += map(_label_texts, group)
+        else:
+            at = used[kind]
+            used[kind] += len(group)
+            columns.append(formatted[kind][:, at : at + len(group)].reshape(len(rows), -1))
+    return columns
+
+
+def _header_line(header: Sequence[str]) -> bytes:
+    """The header line, its cells written as labels."""
+    return b",".join(_label_texts(header)) + b"\n"
+
+
+def _row_blocks(rows: Iterable[Sequence]) -> Iterator[list]:
+    """`rows` in lists of consecutive rows, each as many as TABLE_BLOCK_BYTES holds when every
+    cell takes FLOAT_CELL_BYTES of the buffer, and at least one."""
+    block, size = [], 0
+    for row in rows:
+        row_bytes = len(row) * FLOAT_CELL_BYTES + 1
+        if block and size + row_bytes > TABLE_BLOCK_BYTES:
+            yield block
+            block, size = [], 0
+        block.append(row)
+        size += row_bytes
+    if block:
+        yield block
+
+
+def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CSV with "\\n" line ends and round-trip floats (byte-stable by content).
+
+    `rows` is any iterable of sequences, a generator too; it is read a block
+    of rows at a time, so the writer holds one block and its text. Within a
+    block, each run of rows of one length is typed column by column: a
+    column of floats (float or np.floating) or of ints (int or np.integer,
+    all within int64) is formatted in numpy, one kernel call for each run of
+    adjacent columns of one kind. Any other column is labels: str() of each
+    cell, but repr(float(c)) of a float. A cell holding a comma, a quote or a
+    line break is quoted, as csv's minimal quoting does, so csv.reader reads
+    every row back whole. A file that cannot be written is a ValueError
+    naming `path`.
+    """
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_header_line(header))
+            for block in _row_blocks(rows):
+                for _, run in itertools.groupby(block, len):
+                    run = list(run)
+                    fh.write(_block_lines(len(run), _typed_columns(run)))
+    except OSError as exc:
+        raise _write_error(path, exc) from exc
 
 
 def write_table_csv(
     path: str | os.PathLike, header: Sequence[str], first_column, values: np.ndarray
 ) -> None:
-    """The bytes of write_csv for rows [first_cell, *values[r].tolist()] of a 2-d int or float array.
+    """The bytes of write_csv for rows [first_cell, *values[r]] of a 2-d int or float array.
 
     `first_column` is either the first row's index, each later row's one
-    more, or one label per row; a label is a cell as write_csv writes it.
-    The numbers are formatted in numpy a block of rows at a time: each
-    cell's text goes into fixed slots of a NUL-filled buffer, which
-    bytes.translate then compacts. Labels never pass through that buffer.
-    A file that cannot be written is a ValueError naming `path`.
+    more, or one label per row, written as write_csv writes a label column.
+    One kernel call formats each block of rows of `values`. A file that
+    cannot be written is a ValueError naming `path`.
     """
     values = np.asarray(values)
     if values.ndim != 2 or not (
@@ -408,10 +521,9 @@ def write_table_csv(
     if isinstance(first_column, (int, np.integer)) and not isinstance(first_column, bool):
         labels = None
         start = int(first_column)
-        index_width = _int_width(np.array([start, start + max(n_rows - 1, 0)]))
-        first_bytes = 1 + index_width
+        first_bytes = 1 + _int_width(np.array([start, start + max(n_rows - 1, 0)]))
     else:
-        labels = [_csv_line([c])[:-1].encode("utf-8") for c in first_column]
+        labels = _label_texts(list(first_column))
         if len(labels) != n_rows:
             raise ValueError(f"{len(labels)} labels for a table of {n_rows} rows")
         first_bytes = 0
@@ -422,23 +534,17 @@ def write_table_csv(
         width = _int_width(values)
         cell_bytes = 1 + width
         format_cells = functools.partial(_int_cells, lead=ord(","), width=width)
-    line_bytes = first_bytes + n_columns * cell_bytes + 1
-    block_rows = max(1, TABLE_BLOCK_BYTES // line_bytes)
+    block_rows = max(1, TABLE_BLOCK_BYTES // (first_bytes + n_columns * cell_bytes + 1))
     try:
         with open(path, "wb") as fh:
-            fh.write(_csv_line(header).encode("utf-8"))
+            fh.write(_header_line(header))
             for lo in range(0, n_rows, block_rows):
                 block = values[lo : lo + block_rows]
-                lines = np.empty((len(block), line_bytes), dtype=np.uint8)
                 if labels is None:
                     index = np.arange(start + lo, start + lo + len(block))
-                    lines[:, :first_bytes] = _int_cells(index, 0, index_width)
-                lines[:, first_bytes:-1] = format_cells(block).reshape(len(block), -1)
-                lines[:, -1] = ord("\n")
-                text = lines.tobytes().translate(None, b"\0")
-                if labels is not None:  # each row's label, then its numbers
-                    ends = np.cumsum(np.count_nonzero(lines, axis=1)).tolist()
-                    text = b"".join(label + text[a:b] for label, a, b in zip(labels[lo:], [0, *ends], ends))
-                fh.write(text)
+                    first = _int_cells(index, ord(","), first_bytes - 1)
+                else:
+                    first = labels[lo : lo + block_rows]
+                fh.write(_block_lines(len(block), [first, format_cells(block).reshape(len(block), -1)]))
     except OSError as exc:
         raise _write_error(path, exc) from exc

@@ -11,7 +11,7 @@ from hiermf.cli import main
 from hiermf.dependence import exp_weights, read_correlation_csv
 from hiermf.hierarchy import comb_tree, parse_dendrogram, serialize_dendrogram
 from hiermf.market_data import ReturnsPanel, WindowSpec, load_prices_csv, returns_panel
-from hiermf.util import format_float
+from oracle_writer import format_float
 
 TICKERS = [f"T{j}" for j in range(8)]
 

@@ -21,8 +21,8 @@ from hiermf.dependence import CorrelationMatrix, read_correlation_csv
 from hiermf.hierarchy import comb_tree, random_binary_tree, serialize_dendrogram
 from hiermf.market_data import WindowSpec
 from hiermf.scaling import delta_h, estimate_ghe
-from hiermf.util import write_csv
 from hiermf.validation import check_equivalence
+from oracle_writer import oracle_write_csv
 
 
 def write_price_csv(path, n_assets=8, length=600, seed=0, drift_vol=0.01):
@@ -220,8 +220,8 @@ def test_simulate_activation_files_are_write_csv_of_the_draws(tmp_path):
     result = simulate_returns(load_dhm_config(config))
     for k, (acts, start) in enumerate(zip(result.activations, result.regime_starts)):
         expected = tmp_path / f"expected_{k}.csv"
-        write_csv(expected, ["t", *[f"node_{i}" for i in acts.node_ids]],
-                  ([start + t, *row] for t, row in enumerate(acts.values.T.tolist())))
+        oracle_write_csv(expected, ["t", *[f"node_{i}" for i in acts.node_ids]],
+                         ([start + t, *row] for t, row in enumerate(acts.values.T.tolist())))
         written = tmp_path / f"out/run_0000/activations_regime_{k:02d}.csv"
         assert written.read_bytes() == expected.read_bytes()
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import errno
 import os
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hiermf import util
 from hiermf.util import parallel_map
+from oracle_writer import oracle_write_csv
 
 
 def square(x):
@@ -36,7 +38,8 @@ class RecordingExecutor:
 @pytest.fixture
 def executor(monkeypatch):
     RecordingExecutor.started = []
-    monkeypatch.setattr(util, "ProcessPoolExecutor", RecordingExecutor)
+    # parallel_map imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(util, "available_cpus", lambda: 4)
     return RecordingExecutor
 
@@ -68,17 +71,97 @@ def test_available_cpus_counts_the_affinity_mask(monkeypatch):
 
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "out.csv"
-    util.write_csv(path, ["name", "x", "k"], [
+    header = ["name", "x", "k"]
+    rows = [
         ["plain", 0.1, 3],
         ['a,b "c"', np.float64(1 / 3), np.uint8(1)],
         [np.int64(7), np.float32(0.5), True],
         [1, 2.5, -0.0],
-    ])
-    assert path.read_bytes() == (
+    ]
+    util.write_csv(path, header, rows)
+    oracle_write_csv(tmp_path / "oracle.csv", header, rows)
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes() == (
         b'name,x,k\nplain,0.1,3\n"a,b ""c""",0.3333333333333333,1\n7,0.5,True\n1,2.5,-0.0\n'
     )
     with open(path, newline="") as fh:
         assert [len(row) for row in csv.reader(fh)] == [3] * 5
+
+
+LABELS = st.text(st.sampled_from(["a", "Z", "7", ".", "-", ",", '"', "\n", "\r", "\0", "ü", "€", " "]),
+                 max_size=4)
+CELLS = {
+    "float": st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    "float64": st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "big int": st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1)),
+    "int8": st.integers(-128, 127).map(np.int8),
+    "uint64": st.integers(0, 2**64 - 1).map(np.uint64),
+    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    "none": st.none(),
+    "label": LABELS,
+}
+ANY_CELL = st.one_of(*CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    """A header and rows of typed columns, with some rows cut short, emptied or given a
+    cell of another kind, so that runs and types change within a block."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=6))
+    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in kinds)).map(list), max_size=30))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["cut", "mix", "empty"]))
+        if edit == "cut":
+            del row[draw(st.integers(0, len(row))):]
+        elif edit == "mix" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(ANY_CELL)
+        elif edit == "empty":
+            row.clear()
+    return draw(st.lists(ANY_CELL, max_size=6)), rows
+
+
+@given(tables(), st.sampled_from([1, 60, 300, 1 << 18]))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_is_the_oracle_of_any_rows(tmp_path_factory, table, block_bytes):
+    """A block can end anywhere: after every row, or within a run of rows of one length."""
+    header, rows = table
+    out = tmp_path_factory.mktemp("rows")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(util, "TABLE_BLOCK_BYTES", block_bytes)
+        util.write_csv(out / "written.csv", header, iter(rows))
+    oracle_write_csv(out / "oracle.csv", header, rows)
+    assert (out / "written.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+def test_write_csv_formats_a_block_with_one_kernel_call_per_kind(tmp_path, monkeypatch):
+    """[label, 3 floats, 2 ints, label, float] rows: per block, one _float_cells call for all
+    its float columns and one _int_cells call for all its int columns."""
+    calls = []
+    for name in ("_float_cells", "_int_cells"):
+        kernel = getattr(util, name)
+        monkeypatch.setattr(util, name, lambda x, *args, kernel=kernel: calls.append(x.shape) or kernel(x, *args))
+    monkeypatch.setattr(util, "TABLE_BLOCK_BYTES", 20 * (8 * util.FLOAT_CELL_BYTES + 1))
+    rng = np.random.default_rng(9)
+    rows = [[f"r{i}", *rng.standard_normal(3), i, -i, "x,y", 0.5] for i in range(50)]
+    util.write_csv(tmp_path / "out.csv", ["id", "a", "b", "c", "i", "j", "s", "d"], rows)
+    oracle_write_csv(tmp_path / "oracle.csv", ["id", "a", "b", "c", "i", "j", "s", "d"], rows)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert calls == [(20, 4), (20, 2)] * 2 + [(10, 4), (10, 2)]
+
+
+def test_write_csv_of_a_generator_peaks_at_a_few_blocks():
+    pool = np.random.default_rng(10).standard_normal((1000, 16)).tolist()
+    rows = ([f"row{t}", *pool[t % 1000]] for t in range(200_000))
+    tracemalloc.start()
+    try:
+        util.write_csv(os.devnull, ["t", *"abcdefghijklmnop"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text is about 20 bytes a cell, 68 MB in all
+    assert peak < 12 * util.TABLE_BLOCK_BYTES
 
 
 def float_texts(values):
@@ -109,15 +192,20 @@ def test_float_cells_are_repr_at_the_edges():
 
 
 def assert_table_is_write_csv(tmp_path, header, first_column, values):
+    """write_table_csv, and write_csv of the rows [first_cell, *values[r].tolist()], both
+    write the bytes of the oracle writer."""
     values = np.asarray(values)
     if isinstance(first_column, int):
         firsts = range(first_column, first_column + len(values))
     else:
         firsts = first_column
-    util.write_csv(tmp_path / "rows.csv", header,
-                   ([first, *row] for first, row in zip(firsts, values.tolist())))
+    rows = [[first, *row] for first, row in zip(firsts, values.tolist())]
+    oracle_write_csv(tmp_path / "oracle.csv", header, rows)
+    util.write_csv(tmp_path / "rows.csv", header, rows)
     util.write_table_csv(tmp_path / "table.csv", header, first_column, values)
-    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    oracle = (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "table.csv").read_bytes() == oracle
+    assert (tmp_path / "rows.csv").read_bytes() == oracle
 
 
 @pytest.mark.parametrize(
